@@ -11,16 +11,21 @@ the compiled plan is O(log n) in spanned buckets and would trivialize
 the check) and that the compiled batch path beats the interpreted loop
 by a wide margin -- the ``BENCH_estimation.json`` sidecar records the
 trajectory, and ``REPRO_BENCH_ASSERT_SPEEDUP=1`` (set by ``make
-bench-estimation``) turns the 10x floor into a hard assertion.
+bench-estimation``) turns the 10x floor into a hard assertion.  The
+same switch arms a 2x floor for integer code endpoints (the per-code
+table gathers) over float endpoints (the ``searchsorted`` chain) on one
+code-domain plan.
 """
 
 import os
+import platform
 import time
 
 import numpy as np
 
 from repro.core.buckets import EquiWidthBucket
 from repro.core.builder import build_histogram
+from repro.core.compiled import CompiledHistogram
 from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
 from repro.core.histogram import Histogram
@@ -177,4 +182,77 @@ def test_compiled_batch_speedup(emit, emit_json):
     if ASSERT_SPEEDUP:
         assert speedup_batch >= 10.0, (
             f"compiled batch regressed: {speedup_batch:.1f}x < 10x floor"
+        )
+
+
+def test_code_table_kernel_speedup(emit, emit_json):
+    """Integer code endpoints (per-code table gathers) against float
+    endpoints (the ``searchsorted`` chain) on the same plan, same run,
+    4096-range batches -- the serving path's frame size."""
+    rng = np.random.default_rng(12)
+    d = 2500
+    freqs = np.minimum(rng.zipf(1.4, size=d), 10**6) * rng.integers(1, 50, size=d)
+    histogram = build_histogram(AttributeDensity(freqs), kind="V8DincB")
+    start = time.perf_counter()
+    plan = CompiledHistogram.compile(histogram)
+    compile_s = time.perf_counter() - start
+    tables = plan._codes
+    assert tables is not None
+
+    n_ranges = 4096
+    ends = rng.integers(-50, d + 50, size=(2, n_ranges))
+    c1s, c2s = ends.min(axis=0), ends.max(axis=0)
+    f1s, f2s = c1s.astype(np.float64), c2s.astype(np.float64)
+    by_table = plan.estimate_batch(c1s, c2s)
+    by_search = plan.estimate_batch(f1s, f2s)
+    # The speedup must not come from answering a different question.
+    assert np.array_equal(by_table.view(np.int64), by_search.view(np.int64))
+
+    # Interleave the two kernels so host drift lands on both.
+    table_s = search_s = float("inf")
+    for _ in range(7):
+        table_s = min(table_s, _best_of(lambda: plan.estimate_batch(c1s, c2s)))
+        search_s = min(search_s, _best_of(lambda: plan.estimate_batch(f1s, f2s)))
+    speedup = search_s / table_s
+    n_codes = tables.fu.size
+    table_bytes = sum(
+        getattr(tables, field).nbytes
+        for field in ("first", "last", "first_partial", "last_partial", "fu")
+    )
+    emit(
+        "estimation_code_tables",
+        format_table(
+            ["endpoints", "us / 4096 ranges", "speedup"],
+            [
+                ["float (searchsorted)", f"{search_s * 1e6:.0f}", "1.0x"],
+                ["int64 codes (tables)", f"{table_s * 1e6:.0f}", f"{speedup:.1f}x"],
+            ],
+        )
+        + f"\n{n_codes} codes, {len(histogram)} buckets, "
+        f"{table_bytes / n_codes:.0f} B per code, compile {compile_s * 1e3:.2f} ms",
+    )
+    emit_json(
+        "estimation",
+        {
+            "code_table_kernel": {
+                "n_ranges": n_ranges,
+                "n_codes": int(n_codes),
+                "n_buckets": len(histogram),
+                "float_endpoint_seconds": search_s,
+                "int_code_seconds": table_s,
+                "speedup_int_vs_float": speedup,
+                "floor": 2.0,
+                "table_bytes_per_code": table_bytes / n_codes,
+                "plan_compile_seconds": compile_s,
+                "machine": {
+                    "cores": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
+                },
+            }
+        },
+    )
+    if ASSERT_SPEEDUP:
+        assert speedup >= 2.0, (
+            f"code-table kernel regressed: {speedup:.1f}x < 2x floor"
         )

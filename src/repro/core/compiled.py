@@ -23,7 +23,11 @@ immutable, so a plan never invalidates):
 
 Estimation becomes ``searchsorted`` plus two fringe interpolation terms;
 ``estimate_batch`` runs the identical algorithm on whole endpoint
-arrays.  The fine function reproduces every bucket type's estimator
+arrays.  Code-domain plans also carry per-code lookup tables
+(:class:`_CodeTables`) holding what that ``searchsorted`` chain yields
+at every integer code, so integer endpoints -- the dictionary codes of
+the serving path -- are answered by gathers instead of searches.  The
+fine function reproduces every bucket type's estimator
 exactly: bucklets are linear segments, atomic buckets one linear
 segment, raw buckets *steps* at their stored values (matching the
 ceil-based per-code semantics), so compiled and interpreted estimates
@@ -54,13 +58,17 @@ from repro.core.buckets import (
 from repro.core.flexalpha import FlexAlphaBucket
 from repro.obs import NULL_TRACE, CounterSet
 
-__all__ = ["CompileError", "CompiledHistogram", "COMPILE_COUNTERS"]
+__all__ = ["CompileError", "CompiledHistogram", "COMPILE_COUNTERS", "MAX_TABLE_CODES"]
 
 #: Module-wide compile observability: ``plans_compiled``, ``plan_buckets``,
 #: ``plan_cells``, ``layout_decodes`` (payload decodes *triggered by*
 #: compilation -- already-decoded buckets are not re-decoded), and
 #: ``compile_us`` (total compile wall-clock, microseconds).
 COMPILE_COUNTERS = CounterSet()
+
+#: Widest code domain that gets per-code lookup tables (18 bytes per
+#: code); wider domains answer integer endpoints by ``searchsorted``.
+MAX_TABLE_CODES = 1 << 20
 
 
 class CompileError(TypeError):
@@ -219,6 +227,50 @@ class _Surface:
         return surface
 
 
+class _CodeTables:
+    """The range surface's ``searchsorted`` chain, evaluated at every code.
+
+    Entry ``x - base`` holds, for the integer endpoint ``x`` in
+    ``[base, top]``, the first and last bucket index an estimate
+    starting or ending at ``x`` touches, the two partial-bucket flags,
+    and the fine cumulative mass ``_fu(x)``.  Every entry is computed by
+    the very calls :meth:`CompiledHistogram._estimate_batch` makes, so a
+    gather returns the bits the search would.  Derived in memory from
+    the plan's tables; never exported or serialized.
+    """
+
+    __slots__ = ("base", "top", "first", "last", "first_partial", "last_partial", "fu")
+
+    def __init__(self, plan: "CompiledHistogram") -> None:
+        self.base = int(plan._lo)
+        self.top = int(plan._hi)
+        x = np.arange(self.base, self.top + 1, dtype=np.float64)
+        edges = plan.bucket_edges
+        first = np.searchsorted(edges, x, side="right") - 1
+        last = np.searchsorted(edges, x, side="left") - 1
+        self.first_partial = edges[first] < x
+        self.last_partial = edges[last + 1] > x
+        self.first = first.astype(np.int32)
+        self.last = last.astype(np.int32)
+        self.fu = plan._fu(plan._range, x)
+
+    @staticmethod
+    def fits(plan: "CompiledHistogram") -> bool:
+        """Whether ``plan`` gets tables: integral code-domain edges, at
+        most :data:`MAX_TABLE_CODES` codes."""
+        return (
+            plan.domain == "code"
+            and plan._lo.is_integer()
+            and plan._hi.is_integer()
+            and plan._hi - plan._lo < MAX_TABLE_CODES
+        )
+
+
+def _is_code_array(array: np.ndarray) -> bool:
+    """Integer endpoints that fit ``int64`` (the code path's input)."""
+    return array.dtype.kind in "iu" and np.can_cast(array.dtype, np.int64)
+
+
 class CompiledHistogram:
     """A histogram frozen into flat numpy arrays for O(log n) estimation.
 
@@ -246,6 +298,7 @@ class CompiledHistogram:
         self._stats = stats
         self._lo = float(bucket_edges[0])
         self._hi = float(bucket_edges[-1])
+        self._codes = _CodeTables(self) if _CodeTables.fits(self) else None
 
     # -- construction ------------------------------------------------------
 
@@ -656,6 +709,50 @@ class CompiledHistogram:
         last = np.searchsorted(edges, hi, side="left") - 1
         first_partial = edges[first] < lo
         last_partial = edges[last + 1] > hi
+        fu_lo = np.where(first_partial, self._fu(surface, lo), 0.0)
+        fu_hi = self._fu(surface, hi)
+        return self._combine(
+            surface, valid, first, last, first_partial, last_partial, fu_lo, fu_hi
+        )
+
+    def _estimate_codes(self, c1s: np.ndarray, c2s: np.ndarray) -> np.ndarray:
+        """:meth:`_estimate_batch` on the range surface for integer
+        endpoints: the same clamp and parking, then table gathers where
+        the float path searches.  For clamped integers ``hi > lo``
+        implies ``c2 > c1``, so one comparison decides validity."""
+        tables = self._codes
+        lo = np.maximum(c1s, tables.base)
+        hi = np.minimum(c2s, tables.top)
+        valid = hi > lo
+        lo = np.where(valid, lo, tables.base) - tables.base
+        hi = np.where(valid, hi, tables.top) - tables.base
+        first_partial = tables.first_partial[lo]
+        fu_lo = np.where(first_partial, tables.fu[lo], 0.0)
+        return self._combine(
+            self._range,
+            valid,
+            tables.first[lo],
+            tables.last[hi],
+            first_partial,
+            tables.last_partial[hi],
+            fu_lo,
+            tables.fu[hi],
+        )
+
+    @staticmethod
+    def _combine(
+        surface: _Surface,
+        valid: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+        first_partial: np.ndarray,
+        last_partial: np.ndarray,
+        fu_lo: np.ndarray,
+        fu_hi: np.ndarray,
+    ) -> np.ndarray:
+        """The batch estimate from located endpoints: full-bucket prefix
+        sums plus the fringe terms, shared by both batch kernels so
+        their answers agree bit for bit."""
         f0 = first + first_partial
         l0 = last - last_partial
         full = np.where(
@@ -663,8 +760,6 @@ class CompiledHistogram:
             surface.bucket_cdf[l0 + 1] - surface.bucket_cdf[f0],
             0.0,
         )
-        fu_lo = np.where(first_partial, self._fu(surface, lo), 0.0)
-        fu_hi = self._fu(surface, hi)
         single = first == last
         multi = (
             full
@@ -678,12 +773,26 @@ class CompiledHistogram:
         return np.where(valid, np.maximum(raw, 1.0), 0.0)
 
     def estimate_batch(self, c1s, c2s) -> np.ndarray:
-        """Vector of :meth:`estimate` answers for paired endpoints."""
-        c1s = np.asarray(c1s, dtype=np.float64)
-        c2s = np.asarray(c2s, dtype=np.float64)
+        """Vector of :meth:`estimate` answers for paired endpoints.
+
+        Integer endpoints on a plan with per-code tables take the gather
+        kernel; every other input (floats, value-domain plans, domains
+        past :data:`MAX_TABLE_CODES`) takes the ``searchsorted`` chain.
+        Both return the same bits for the same integer ranges.
+        """
+        c1s = np.asarray(c1s)
+        c2s = np.asarray(c2s)
         if c1s.shape != c2s.shape:
             raise ValueError("endpoint arrays must align")
-        return self._estimate_batch(self._range, c1s, c2s)
+        if self._codes is not None and _is_code_array(c1s) and _is_code_array(c2s):
+            return self._estimate_codes(
+                c1s.astype(np.int64, copy=False), c2s.astype(np.int64, copy=False)
+            )
+        return self._estimate_batch(
+            self._range,
+            c1s.astype(np.float64, copy=False),
+            c2s.astype(np.float64, copy=False),
+        )
 
     def estimate_distinct_batch(self, c1s, c2s) -> np.ndarray:
         """Vector of :meth:`estimate_distinct` answers."""

@@ -233,11 +233,12 @@ class Histogram:
         """Vector of estimates for paired query endpoints.
 
         One compiled-plan pass over the whole batch: searchsorted on the
-        endpoint arrays, a prefix-sum gather for fully covered bucket
-        runs, and vectorized fringe interpolation.
+        endpoint arrays (per-code table gathers for integer endpoints),
+        a prefix-sum gather for fully covered bucket runs, and
+        vectorized fringe interpolation.
         """
-        c1s = np.asarray(c1s, dtype=np.float64)
-        c2s = np.asarray(c2s, dtype=np.float64)
+        c1s = np.asarray(c1s)
+        c2s = np.asarray(c2s)
         if c1s.shape != c2s.shape:
             raise ValueError("endpoint arrays must align")
         plan = self.plan()
@@ -246,7 +247,9 @@ class Histogram:
         return np.asarray(
             [
                 self.estimate_interpreted(a, b)
-                for a, b in zip(c1s.tolist(), c2s.tolist())
+                for a, b in zip(
+                    c1s.astype(np.float64).tolist(), c2s.astype(np.float64).tolist()
+                )
             ]
         )
 

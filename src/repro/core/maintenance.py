@@ -189,6 +189,17 @@ class MaintainedHistogram:
             self._bucket_deletes[index]
         )
 
+    def _bucket_edges(self) -> np.ndarray:
+        """The base histogram's bucket edges: the compiled plan's array,
+        or one built from the buckets when the histogram has no plan."""
+        plan = self.histogram.plan()
+        if plan is not None:
+            return plan.bucket_edges
+        return np.asarray(
+            [b.lo for b in self.histogram.buckets] + [self.histogram.hi],
+            dtype=np.float64,
+        )
+
     def estimate(self, c1: float, c2: float) -> float:
         """Range estimate including post-build churn.
 
@@ -220,22 +231,23 @@ class MaintainedHistogram:
     def estimate_batch(self, c1s, c2s) -> np.ndarray:
         """Vector of :meth:`estimate` answers for paired endpoints.
 
-        The base histogram answers through its compiled plan; the insert
-        blend is itself a piecewise-linear cumulative function over the
-        bucket edges (uniform spread within each bucket), so it too is
-        one ``searchsorted`` + interpolation pass.
+        The base histogram answers through its compiled plan (integer
+        endpoints keep their dtype, so codes reach the plan's per-code
+        tables); the insert blend is itself a piecewise-linear
+        cumulative function over the bucket edges (uniform spread within
+        each bucket), so it too is one ``searchsorted`` + interpolation
+        pass, in floats.
         """
-        c1s = np.asarray(c1s, dtype=np.float64)
-        c2s = np.asarray(c2s, dtype=np.float64)
+        c1s = np.asarray(c1s)
+        c2s = np.asarray(c2s)
         if c1s.shape != c2s.shape:
             raise ValueError("endpoint arrays must align")
         base = self.histogram.estimate_batch(c1s, c2s)
         if self._inserts == 0 and self._deletes == 0:
             return base
-        edges = np.asarray(
-            [b.lo for b in self.histogram.buckets] + [self.histogram.hi],
-            dtype=np.float64,
-        )
+        c1s = c1s.astype(np.float64, copy=False)
+        c2s = c2s.astype(np.float64, copy=False)
+        edges = self._bucket_edges()
         # Cumulative net churn mass at each edge; registers re-read per
         # call because increments move them between calls.  The per-edge
         # partial sums can dip (delete-heavy buckets), which is exactly

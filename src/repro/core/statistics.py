@@ -62,9 +62,7 @@ class ColumnStatistics:
             lo = np.clip(c1s.astype(np.int64), 0, d)
             hi = np.clip(c2s.astype(np.int64), lo, d)
             return (cum[hi] - cum[lo]).astype(np.float64)
-        return self.histogram.estimate_batch(
-            c1s.astype(np.float64), c2s.astype(np.float64)
-        )
+        return self.histogram.estimate_batch(c1s, c2s)
 
     def estimate_distinct_range(self, c1: int, c2: int) -> float:
         """Distinct-value estimate for the code range ``[c1, c2)``."""

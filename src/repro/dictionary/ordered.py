@@ -13,7 +13,17 @@ from typing import Any, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["OrderedDictionary"]
+__all__ = ["OrderedDictionary", "SORTED_SEARCH_MIN_KEYS"]
+
+#: Endpoint count (lows plus highs) from which ``encode_range_batch``
+#: sorts its keys before searching.  Measured on a 2-vCPU x86 host:
+#: sorting wins from ~1000 keys for dictionaries of 3000+ values and
+#: loses up to ~2x below ~500 keys.
+SORTED_SEARCH_MIN_KEYS = 1024
+
+
+def _is_nan(value: Any) -> bool:
+    return isinstance(value, (float, np.floating)) and bool(value != value)
 
 
 class OrderedDictionary:
@@ -79,8 +89,12 @@ class OrderedDictionary:
         Boundary values need not be present in the dictionary: the
         returned ``[c1, c2)`` covers exactly the codes of the distinct
         values inside ``[low, high)``.  This is how range predicates on
-        raw values are evaluated against dictionary codes.
+        raw values are evaluated against dictionary codes.  ``±inf``
+        are open bounds; a NaN endpoint raises ``ValueError`` (it
+        orders after every value, which would read as open-ended).
         """
+        if _is_nan(low) or _is_nan(high):
+            raise ValueError(f"NaN endpoint in range [{low}, {high})")
         c1 = int(np.searchsorted(self._values, low, side="left"))
         c2 = int(np.searchsorted(self._values, high, side="left"))
         return c1, max(c2, c1)
@@ -90,19 +104,34 @@ class OrderedDictionary:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`encode_range` for paired endpoint arrays.
 
-        Two ``searchsorted`` passes translate a whole batch of value
-        ranges into code ranges -- the translation step of the service's
-        binary ``estimate_batch`` wire path.  Returns ``(c1s, c2s)`` as
-        ``int64`` arrays with ``c2s >= c1s`` elementwise (an empty value
-        range maps to an empty code range, exactly like the scalar
-        form).
+        The translation step of the service's binary ``estimate_batch``
+        wire path.  The lows and highs are concatenated (compared at
+        their common dtype) and looked up with one ``searchsorted``.
+        From :data:`SORTED_SEARCH_MIN_KEYS` keys on, the keys are
+        argsorted first and the codes scattered back: numpy narrows
+        each search of sorted keys from the previous key's result,
+        where random-order binary search mispredicts; below it the
+        argsort and scatter cost more than they save.  Returns
+        ``(c1s, c2s)`` as ``int64`` arrays with ``c2s >= c1s``
+        elementwise (an empty value range maps to an empty code range,
+        exactly like the scalar form); a NaN endpoint raises
+        ``ValueError``.
         """
         lows = np.asarray(lows)
         highs = np.asarray(highs)
         if lows.shape != highs.shape:
             raise ValueError("endpoint arrays must align")
-        c1s = np.searchsorted(self._values, lows, side="left").astype(np.int64)
-        c2s = np.searchsorted(self._values, highs, side="left").astype(np.int64)
+        keys = np.concatenate((lows.ravel(), highs.ravel()))
+        if keys.dtype.kind in "fc" and np.isnan(keys).any():
+            raise ValueError("NaN endpoint in range batch")
+        if keys.size < SORTED_SEARCH_MIN_KEYS:
+            codes = np.searchsorted(self._values, keys, side="left").astype(np.int64)
+        else:
+            order = np.argsort(keys)
+            codes = np.empty(keys.size, dtype=np.int64)
+            codes[order] = np.searchsorted(self._values, keys[order], side="left")
+        c1s = codes[: lows.size].reshape(lows.shape)
+        c2s = codes[lows.size :].reshape(highs.shape)
         return c1s, np.maximum(c2s, c1s)
 
     def size_bytes(self) -> int:

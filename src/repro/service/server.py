@@ -138,9 +138,7 @@ class RegisterStatistics:
         return self._register.estimate(float(c1), float(c2))
 
     def estimate_range_batch(self, c1s, c2s) -> np.ndarray:
-        return self._register.estimate_batch(
-            np.asarray(c1s, dtype=np.float64), np.asarray(c2s, dtype=np.float64)
-        )
+        return self._register.estimate_batch(c1s, c2s)
 
     def estimate_distinct_range(self, c1: int, c2: int) -> float:
         return self._register.estimate_distinct(float(c1), float(c2))
@@ -454,10 +452,11 @@ class StatisticsService:
         """Range estimates for aligned endpoint arrays on one column.
 
         The binary transport's hot path: no predicate objects are ever
-        materialized.  The value endpoints are translated to code ranges
-        in two vectorized ``searchsorted`` passes
-        (:meth:`~repro.dictionary.ordered.OrderedDictionary.encode_range_batch`),
-        then answered either by the estimator worker pool (when the
+        materialized.  The value endpoints are translated to ``int64``
+        code ranges in one ``searchsorted`` pass
+        (:meth:`~repro.dictionary.ordered.OrderedDictionary.encode_range_batch`)
+        and stay integers down to the compiled plan's per-code tables.
+        They are answered either by the estimator worker pool (when the
         server installed :attr:`array_backend` and the pool serves this
         key's current generation) or by the same register-blended
         statistics the JSON path uses -- with zero pending inserts the
@@ -477,8 +476,6 @@ class StatisticsService:
                 np.asarray(lows), np.asarray(highs)
             )
             nonempty = c2s > c1s
-            c1s = c1s.astype(np.float64)
-            c2s = c2s.astype(np.float64)
             values: Optional[np.ndarray] = None
             # The pool serves published compiled plans, so a pool answer
             # is by construction a histogram answer.

@@ -17,7 +17,9 @@ The command channel is one duplex pipe per worker:
   everywhere.
 * ``("estimate", distinct, table, column, c1s, c2s)`` -- one batch of
   *code* ranges (the front end translates values through the ordered
-  dictionary); the answer is ``("ok", values)`` or ``("error", message)``.
+  dictionary), sent in the caller's dtype so ``int64`` codes reach the
+  plan's per-code tables exactly as they do in process; the answer is
+  ``("ok", values)`` or ``("error", message)``.
 * ``("stop",)`` -- close all mappings and exit.
 
 Dispatch is round-robin with a per-worker lock, so concurrent handler
@@ -282,8 +284,8 @@ class EstimatorWorkerPool:
                     bool(distinct),
                     table,
                     column,
-                    np.ascontiguousarray(c1s, dtype=np.float64),
-                    np.ascontiguousarray(c2s, dtype=np.float64),
+                    np.ascontiguousarray(c1s),
+                    np.ascontiguousarray(c2s),
                 )
             )
         except WorkerPoolError as error:

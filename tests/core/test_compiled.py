@@ -422,3 +422,126 @@ class TestPlanPatch:
         plan = CompiledHistogram.compile(histogram)
         with pytest.raises(CompileError):
             plan.patch(histogram, [])
+
+
+CODE_KINDS = ("F8Dgt", "V8Dinc", "V8DincB", "1Dinc", "1DincB")
+
+
+def _code_endpoints(plan, rng, n=2000):
+    """Integer endpoints: random, out of domain, inverted, empty,
+    single-code, full-domain and every bucket edge."""
+    lo, hi = int(plan.lo), int(plan.hi)
+    span = hi - lo
+    pairs = rng.integers(lo - span // 10, hi + span // 10, size=(2, n))
+    c1s, c2s = np.minimum(pairs[0], pairs[1]), np.maximum(pairs[0], pairs[1])
+    edges = plan.bucket_edges.astype(np.int64)
+    codes = rng.integers(lo, hi, size=64)
+    extra = [
+        (lo, hi),  # full domain
+        (lo - 10**12, hi + 10**12),  # superset, far out of domain
+        (hi, hi + 5),  # past the top
+        (lo - 5, lo),  # below the bottom
+        (hi + 3, lo - 3),  # inverted, straddling the domain
+        (lo - 7, lo - 9),  # inverted, out of domain
+    ]
+    extra += [(int(c), int(c)) for c in codes[:16]]  # empty
+    extra += [(int(c), int(c) + 1) for c in codes]  # single code
+    extra += [(int(c) + 3, int(c)) for c in codes[:16]]  # inverted
+    extra += [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]  # one bucket
+    extra += [(int(e), hi) for e in edges] + [(lo, int(e)) for e in edges]
+    c1s = np.concatenate((c1s, [a for a, _ in extra])).astype(np.int64)
+    c2s = np.concatenate((c2s, [b for _, b in extra])).astype(np.int64)
+    return c1s, c2s
+
+
+def _assert_tables_match_search(plan, rng):
+    """The table kernel returns the float kernel's bits for integer ranges."""
+    assert plan._codes is not None
+    c1s, c2s = _code_endpoints(plan, rng)
+    by_table = plan.estimate_batch(c1s, c2s)
+    by_search = plan.estimate_batch(c1s.astype(np.float64), c2s.astype(np.float64))
+    assert by_table.dtype == np.float64
+    assert np.array_equal(by_table.view(np.int64), by_search.view(np.int64))
+
+
+class TestCodeTables:
+    """Integer endpoints on code-domain plans are answered from per-code
+    tables, bit-identical to the ``searchsorted`` chain on floats."""
+
+    @pytest.mark.parametrize("column_name", ["zipf", "uniform"])
+    @pytest.mark.parametrize("kind", CODE_KINDS)
+    def test_every_code_kind(self, kind, column_name, rng):
+        column = _columns(rng)[column_name]
+        plan = build_histogram(column, kind=kind, config=CONFIG).plan()
+        _assert_tables_match_search(plan, rng)
+
+    def test_patched_plan(self, rng):
+        histogram, result = TestPlanPatch()._repaired(rng, k=3)
+        patched = CompiledHistogram.compile(histogram).patch(
+            result.histogram, result.ranges
+        )
+        _assert_tables_match_search(patched, rng)
+
+    def test_reattached_plan(self, rng):
+        column = _columns(rng)["zipf"]
+        plan = build_histogram(column, kind="V8DincB", config=CONFIG).plan()
+        meta, arrays = plan.export_tables()
+        copies = {key: np.frombuffer(array.tobytes()) for key, array in arrays.items()}
+        attached = CompiledHistogram.from_tables(meta, copies)
+        _assert_tables_match_search(attached, rng)
+        c1s, c2s = _code_endpoints(plan, rng)
+        assert np.array_equal(
+            attached.estimate_batch(c1s, c2s).view(np.int64),
+            plan.estimate_batch(c1s, c2s).view(np.int64),
+        )
+
+    def test_tables_are_not_exported(self, rng):
+        plan = build_histogram(_columns(rng)["uniform"], kind="V8DincB").plan()
+        _, arrays = plan.export_tables()
+        assert sorted(arrays) == sorted(
+            ["bucket_edges", "fine_global_left"]
+            + [f"range.{field}" for field in (
+                "bucket_cdf", "bucket_fine", "seg_x", "seg_base", "seg_slope"
+            )]
+        )
+
+    def test_small_integer_dtypes_take_the_table_kernel(self, rng):
+        plan = build_histogram(_columns(rng)["uniform"], kind="1DincB").plan()
+        c1s, c2s = _code_endpoints(plan, rng)
+        for dtype in (np.int8, np.int16, np.uint16, np.int32):
+            info = np.iinfo(dtype)
+            keep = (
+                (np.minimum(c1s, c2s) >= info.min) & (np.maximum(c1s, c2s) <= info.max)
+            )
+            small1, small2 = c1s[keep].astype(dtype), c2s[keep].astype(dtype)
+            np.testing.assert_array_equal(
+                plan.estimate_batch(small1, small2),
+                plan.estimate_batch(small1.astype(np.float64), small2.astype(np.float64)),
+            )
+
+    def test_value_domain_plans_have_no_tables(self, rng):
+        values = np.cumsum(rng.integers(1, 9, size=300)).astype(float)
+        density = AttributeDensity(rng.integers(1, 40, size=300), values=values)
+        plan = CompiledHistogram.compile(build_histogram(density, kind="1VincB1"))
+        assert plan._codes is None
+        c1s = rng.integers(0, int(values[-1]), size=100)
+        c2s = c1s + rng.integers(0, 50, size=100)
+        np.testing.assert_array_equal(
+            plan.estimate_batch(c1s, c2s),
+            plan.estimate_batch(c1s.astype(np.float64), c2s.astype(np.float64)),
+        )
+
+    def test_domains_past_the_cap_keep_the_search(self, rng, monkeypatch):
+        from repro.core import compiled
+
+        histogram = build_histogram(_columns(rng)["uniform"], kind="V8DincB")
+        monkeypatch.setattr(compiled, "MAX_TABLE_CODES", int(histogram.hi) - 1)
+        plan = CompiledHistogram.compile(histogram)
+        assert plan._codes is None
+        c1s, c2s = _code_endpoints(plan, rng)
+        np.testing.assert_array_equal(
+            plan.estimate_batch(c1s, c2s),
+            CompiledHistogram.compile(histogram).estimate_batch(
+                c1s.astype(np.float64), c2s.astype(np.float64)
+            ),
+        )

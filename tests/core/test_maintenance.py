@@ -133,6 +133,36 @@ class TestChurnTracking:
         assert fresh.estimate(0, 500) == maintained.estimate(0, 500)
 
 
+class TestChurnBlendBatch:
+    def _zipf_maintained(self, zipf_density):
+        histogram = build_histogram(zipf_density, kind="V8DincB", theta=16)
+        return MaintainedHistogram(histogram, rng=np.random.default_rng(0))
+
+    def test_blend_edges_are_the_bucket_edges(self, zipf_density):
+        maintained = self._zipf_maintained(zipf_density)
+        histogram = maintained.histogram
+        from_buckets = np.asarray(
+            [b.lo for b in histogram.buckets] + [histogram.hi], dtype=np.float64
+        )
+        edges = maintained._bucket_edges()
+        assert edges is histogram.plan().bucket_edges
+        assert np.array_equal(edges, from_buckets)
+
+    def test_batch_matches_scalar_with_churn(self, rng, zipf_density):
+        maintained = self._zipf_maintained(zipf_density)
+        hi = int(maintained.histogram.hi)
+        maintained.insert_many(rng.integers(0, hi, size=3000))
+        maintained.delete_many(rng.integers(0, hi, size=200))
+        c1s = rng.integers(-5, hi + 5, size=300)
+        c2s = c1s + rng.integers(0, hi // 3, size=300)
+        batch = maintained.estimate_batch(c1s, c2s)
+        scalar = [maintained.estimate(float(a), float(b)) for a, b in zip(c1s, c2s)]
+        np.testing.assert_allclose(batch, scalar, rtol=1e-9, atol=1e-9)
+        # Integer codes and their float images blend to the same bits.
+        floats = maintained.estimate_batch(c1s.astype(float), c2s.astype(float))
+        assert np.array_equal(batch.view(np.int64), floats.view(np.int64))
+
+
 class TestRebuildSignal:
     def test_staleness_grows(self, rng):
         _, maintained = _maintained(rng)

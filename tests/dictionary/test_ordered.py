@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dictionary.ordered import OrderedDictionary
+from repro.dictionary.ordered import SORTED_SEARCH_MIN_KEYS, OrderedDictionary
 
 
 class TestConstruction:
@@ -72,6 +72,83 @@ class TestRangeMapping:
     def test_range_outside_domain(self):
         dictionary, _ = OrderedDictionary.from_column([10, 20])
         assert dictionary.encode_range(-5, 100) == (0, 2)
+
+
+    def test_infinite_bounds_are_open(self):
+        dictionary, _ = OrderedDictionary.from_column([10, 20, 30])
+        assert dictionary.encode_range(-np.inf, np.inf) == (0, 3)
+        assert dictionary.encode_range(20, np.inf) == (1, 3)
+
+    @pytest.mark.parametrize("low, high", [(10, np.nan), (np.nan, 30), (np.nan, np.nan)])
+    def test_nan_endpoint_raises(self, low, high):
+        dictionary, _ = OrderedDictionary.from_column([10, 20, 30])
+        with pytest.raises(ValueError, match="NaN"):
+            dictionary.encode_range(low, high)
+
+
+def _plain_encode(values, lows, highs):
+    """The reference translation: one unsorted ``searchsorted`` per side."""
+    c1s = np.searchsorted(values, lows, side="left").astype(np.int64)
+    c2s = np.searchsorted(values, highs, side="left").astype(np.int64)
+    return c1s, np.maximum(c2s, c1s)
+
+
+class TestSortedBatchTranslation:
+    """``encode_range_batch`` (sorted above the key threshold, unsorted
+    below it) returns exactly the codes of two plain ``searchsorted``
+    calls."""
+
+    @pytest.fixture
+    def dictionary(self, rng):
+        return OrderedDictionary(np.unique(rng.integers(0, 100_000, size=3000)))
+
+    def _endpoints(self, dictionary, rng, n):
+        values = dictionary.values.astype(np.float64)
+        picks = rng.integers(0, values.size, size=(2, n))
+        # Half exact entries, half strictly between neighbouring entries.
+        lows = values[picks[0]] - rng.choice([0.0, 0.5], size=n)
+        highs = values[picks[1]] + rng.choice([0.0, 0.5], size=n)
+        if n >= 8:
+            lows[:4] = lows[4:8]  # repeated endpoints
+            highs[:4] = highs[4:8]
+            lows[0], highs[1] = -np.inf, np.inf
+            lows[2], highs[2] = highs[2], lows[2]  # inverted
+        return lows, highs
+
+    @pytest.mark.parametrize("n", [0, 1, SORTED_SEARCH_MIN_KEYS // 2, 4096])
+    def test_matches_plain_searchsorted(self, dictionary, rng, n):
+        lows, highs = self._endpoints(dictionary, rng, n)
+        c1s, c2s = dictionary.encode_range_batch(lows, highs)
+        ref1, ref2 = _plain_encode(dictionary.values, lows, highs)
+        assert c1s.dtype == np.int64 and c2s.dtype == np.int64
+        assert np.array_equal(c1s, ref1) and np.array_equal(c2s, ref2)
+
+    def test_integer_endpoints_and_repeats(self, dictionary):
+        values = dictionary.values
+        lows = np.repeat(values[::300], 3)
+        highs = lows + 1
+        c1s, c2s = dictionary.encode_range_batch(lows, highs)
+        ref1, ref2 = _plain_encode(values, lows, highs)
+        assert np.array_equal(c1s, ref1) and np.array_equal(c2s, ref2)
+
+    def test_matches_scalar_form(self, dictionary, rng):
+        lows, highs = self._endpoints(dictionary, rng, 64)
+        c1s, c2s = dictionary.encode_range_batch(lows, highs)
+        assert [dictionary.encode_range(a, b) for a, b in zip(lows, highs)] == list(
+            zip(c1s.tolist(), c2s.tolist())
+        )
+
+    def test_nan_endpoint_raises(self, dictionary):
+        lows = np.array([1.0, 2.0, 3.0])
+        for highs in (np.array([5.0, np.nan, 7.0]), np.array([np.nan] * 3)):
+            with pytest.raises(ValueError, match="NaN"):
+                dictionary.encode_range_batch(lows, highs)
+            with pytest.raises(ValueError, match="NaN"):
+                dictionary.encode_range_batch(highs, lows)
+
+    def test_misaligned_arrays_raise(self, dictionary):
+        with pytest.raises(ValueError, match="align"):
+            dictionary.encode_range_batch(np.zeros(3), np.zeros(4))
 
 
 class TestSizing:

@@ -201,6 +201,42 @@ class TestCrossTransportParity:
             assert values[0] == 0.0
 
 
+class TestNaNEndpoints:
+    """A NaN endpoint is a typed ``ValueError`` on both transports, not an
+    open-ended range; ``±inf`` stay open bounds; the connection survives."""
+
+    def test_json_lines(self, running):
+        from repro.query.predicates import RangePredicate
+
+        with StatisticsClient(*running.address) as client:
+            for low, high in ((10.0, float("nan")), (float("nan"), 200.0)):
+                with pytest.raises(ServiceError, match="ValueError: NaN"):
+                    client.estimate("orders", RangePredicate("amount", low, high))
+            open_ended = client.estimate(
+                "orders", RangePredicate("amount", 10.0, float("inf"))
+            )
+            closed = client.estimate(
+                "orders", RangePredicate("amount", 10.0, 10_000.0)
+            )
+            assert open_ended.value == closed.value
+            assert client.ping()
+
+    def test_binary(self, running):
+        with BinaryStatisticsClient(*running.address) as client:
+            lows = np.array([1.0, 10.0, np.nan])
+            highs = np.array([50.0, np.nan, 80.0])
+            with pytest.raises(ServiceError, match="ValueError: NaN"):
+                client.estimate_range_batch("orders", "amount", lows, highs)
+            assert client.ping()
+            open_ended = client.estimate_range_batch(
+                "orders", "amount", np.array([-np.inf, 10.0]), np.array([50.0, np.inf])
+            )
+            closed = client.estimate_range_batch(
+                "orders", "amount", np.array([-10_000.0, 10.0]), np.array([50.0, 10_000.0])
+            )
+            np.testing.assert_array_equal(open_ended, closed)
+
+
 class TestWireRobustness:
     """Protocol violations: deterministic outcomes, siblings unharmed."""
 

@@ -385,7 +385,13 @@ class TestObservabilityCommands:
 class TestIngestCommand:
     @pytest.fixture
     def serving(self, tmp_path, rng):
-        """A server with maintenance running: repairs can actually fire."""
+        """A server with a maintenance scheduler that tests drive by hand.
+
+        The polling thread is not started: when a timed poll lands
+        mid-stream decides the outcome (a pass after half the rows
+        repairs the hot bucket, and the rest of the stream then leaves
+        the column stale but certificate-clean, which rebuilds).
+        """
         import numpy as np
 
         from repro.dictionary.column import DictionaryEncodedColumn
@@ -411,17 +417,31 @@ class TestIngestCommand:
             config=service.config,
             metrics=service.metrics,
         )
-        scheduler.start()
         handle = start_server_thread(service)
         try:
-            yield f"{handle.address[0]}:{handle.address[1]}", service
+            yield f"{handle.address[0]}:{handle.address[1]}", service, scheduler
         finally:
             handle.stop()
             scheduler.stop()
             service.close()
 
     def test_hot_code_ingest_reports_repair(self, serving, capsys):
-        address, service = serving
+        import threading
+        import time
+
+        address, service, scheduler = serving
+        register = service.registry.get("orders", "amount")
+
+        def sweep_after_stream():
+            # One maintenance pass once all 12000 rows are in, while the
+            # ingest command is still watching for events.
+            deadline = time.monotonic() + 20
+            while register.inserts_recorded < 12000 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            scheduler.check_now(block=True)
+
+        sweeper = threading.Thread(target=sweep_after_stream, daemon=True)
+        sweeper.start()
         assert main([
             "ingest", address,
             "--table", "orders", "--column", "amount",
@@ -437,9 +457,10 @@ class TestIngestCommand:
         assert "rebuilds=0" in out
         assert service.metrics.counter("repairs") >= 1
         assert service.metrics.counter("rebuilds_triggered") == 0
+        sweeper.join()
 
     def test_delete_stream_roundtrips(self, serving, capsys):
-        address, _ = serving
+        address, _, _ = serving
         assert main([
             "ingest", address,
             "--table", "orders", "--column", "amount",
