@@ -8,10 +8,12 @@ Two acceptance bars from the runtime rearchitecture:
   ``BENCH_service.json`` baseline for the cross-PR trajectory).  Same
   predicates, same server, same batch size; the only variable is the
   wire format.
-* **idle connections** -- the asyncio front end must sustain at least
-  10x ``handler_threads`` open-but-idle connections while still
-  answering requests promptly.  A thread-per-connection design caps out
-  at the pool width; the event loop should not notice.
+* **idle connections** -- the server must sustain at least 10x
+  ``handler_threads`` open-but-idle connections while still answering
+  requests promptly.  A connection that has sent nothing waits on the
+  event loop and holds no thread; a JSON-lines connection gets its own
+  thread only from its first byte, and binary frames share the
+  ``handler_threads`` executor.
 
 The assertions are armed by ``REPRO_BENCH_ASSERT_WIRE=1`` (the
 ``make bench-wire`` / ``make smoke`` path) so tier-1 never flakes on

@@ -874,7 +874,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--handler-threads", type=int, default=8,
-        help="request handler threads (the service-owned executor)",
+        help="binary-frame handler threads (each JSON-lines connection "
+        "has its own thread)",
     )
     serve.add_argument(
         "--transport", default="auto", choices=("auto", "binary", "json"),
@@ -1078,7 +1079,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet_serve.add_argument(
         "--handler-threads", type=int, default=4,
-        help="request handler threads per shard",
+        help="binary-frame handler threads per shard",
     )
     fleet_serve.add_argument(
         "--drain-grace", type=float, default=5.0,

@@ -399,7 +399,11 @@ class BinaryStatisticsClient(_ServiceOps):
         self._rx = bytearray(FRAME_HEADER_SIZE)  # grows to the largest frame
         self._request_id = 0
         self.server_info: Dict[str, Any] = {}
-        self._hello()
+        try:
+            self._hello()
+        except BaseException:
+            self._sock.close()  # a refused handshake leaves no socket open
+            raise
 
     def settimeout(self, timeout: Optional[float]) -> None:
         """Adjust the per-operation socket timeout."""

@@ -23,10 +23,9 @@ class ServiceConfig:
     Parameters
     ----------
     handler_threads:
-        Size of the service-owned request executor.  Every request --
-        JSON line or binary frame -- runs on this pool, so concurrency
-        is a configuration decision instead of whatever
-        ``asyncio.to_thread``'s default executor happens to allow.
+        Size of the service-owned executor that runs binary frames.
+        JSON-lines requests do not use it: each JSON connection is
+        served by its own thread from its first byte until it closes.
     estimator_workers:
         Number of estimator *processes* fanned out behind the front
         end.  ``0`` (the default) serves everything in-process; ``N >
@@ -44,6 +43,9 @@ class ServiceConfig:
     max_frame_bytes:
         Upper bound on one frame body; larger advertised lengths close
         the connection (after a framed error) instead of allocating.
+        It also bounds one JSON request line (newline excluded): an
+        over-long line is discarded and answered with one error
+        response, and the connection stays usable.
     drain_grace:
         Graceful-shutdown budget in seconds: :meth:`StatisticsServer.stop
         <repro.service.server.StatisticsServer.stop>` stops accepting,

@@ -15,13 +15,14 @@ first two bytes: the frame magic (:data:`repro.service.frames.MAGIC`)
 selects the length-prefixed binary protocol, anything else falls
 through to JSON lines (one request object per line; see
 :mod:`repro.service.protocol`) -- existing JSON clients keep working
-unmodified.  Request handling hops to a service-owned, explicitly sized
-thread pool (``ServiceConfig.handler_threads``) so a slow estimate
-never stalls the accept loop and concurrency is a configuration
-decision rather than ``asyncio.to_thread``'s default executor.  Binary
-connections pipeline: up to ``ServiceConfig.max_inflight`` frames per
-connection are served concurrently (a semaphore pauses the reader
-beyond that), and responses carry the request's ``id`` so a client can
+unmodified.  JSON lines are one request at a time, so each JSON
+connection is served by its own blocking thread that reads a line,
+answers it and writes the answer, with no per-request hop.  Binary
+frames run on a service-owned, explicitly sized thread pool
+(``ServiceConfig.handler_threads``) so a slow estimate never stalls
+the accept loop.  Binary connections pipeline: up to
+``ServiceConfig.max_inflight`` frames per connection are served
+concurrently (a semaphore pauses the reader beyond that), and responses carry the request's ``id`` so a client can
 match them.  A malformed or failing request produces a structured
 ``{"ok": false}`` response (or ``OP_ERROR`` frame) -- the connection,
 and every other client, keeps going; only frame-level desynchronization
@@ -49,8 +50,9 @@ observed q-errors back to priority rebuilds.
 from __future__ import annotations
 
 import asyncio
-import json
+import itertools
 import math
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -1065,10 +1067,19 @@ class StatisticsServer:
 
     One port, two wire formats: the first two bytes of a connection
     select binary frames (frame magic) or JSON lines (anything else).
-    All request handling runs on a service-owned thread pool sized by
-    ``config.handler_threads``; with ``config.estimator_workers > 0``
-    the server also owns a shared-plan directory and an estimator
-    process pool fanning batch frames across cores.
+    The bytes are peeked, not consumed, so each transport reads its
+    stream from the start.  A connection that has sent nothing waits on
+    the event loop and holds no thread.
+
+    JSON lines are strictly one request at a time, so a JSON connection
+    is served by its own blocking thread (``repro-json-N``) from its
+    first byte until it closes: read a line, ``handle()`` it, write the
+    answer -- no event-loop or executor hop per request.  Binary
+    connections pipeline, so they stay on the event loop and run their
+    frames on a service-owned pool sized by ``config.handler_threads``.
+    With ``config.estimator_workers > 0`` the server also owns a
+    shared-plan directory and an estimator process pool fanning batch
+    frames across cores.
     """
 
     def __init__(
@@ -1082,22 +1093,30 @@ class StatisticsServer:
         self.host = host
         self.port = port
         self.config = config if config is not None else ServiceConfig()
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._listener: Optional[socket.socket] = None
+        self._accepting: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._plans: Optional[SharedPlanDirectory] = None
         self._pool: Optional[EstimatorWorkerPool] = None
         self._publish_lock = threading.Lock()
-        # Graceful-shutdown state, touched only on the event loop:
-        # requests currently executing, and every live connection task.
+        # Graceful-shutdown state.  Requests currently executing on
+        # either transport (JSON connection threads and the event loop
+        # both count, hence the lock); the event-loop connection tasks
+        # (sniffing or binary); and every JSON connection's socket with
+        # the thread serving it.
         self._inflight = 0
+        self._inflight_lock = threading.Lock()
         self._conn_tasks: Set[asyncio.Task] = set()
+        self._json_conns: Dict[socket.socket, threading.Thread] = {}
+        self._json_lock = threading.Lock()
+        self._json_ids = itertools.count(1)
 
     @property
     def address(self) -> Tuple[str, int]:
         """The bound (host, port); valid after :meth:`start`."""
-        if self._server is None:
+        if self._listener is None:
             raise RuntimeError("server is not started")
-        return self._server.sockets[0].getsockname()[:2]
+        return self._listener.getsockname()[:2]
 
     async def start(self) -> None:
         self._executor = ThreadPoolExecutor(
@@ -1106,36 +1125,57 @@ class StatisticsServer:
         )
         if self.config.estimator_workers > 0:
             self._start_fanout()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._listener = _listen(self.host, self.port)
+        self._accepting = asyncio.get_running_loop().create_task(
+            self._accept_loop(self._listener)
         )
 
     async def serve_forever(self) -> None:
-        if self._server is None:
+        """Accept connections until :meth:`stop` (which cancels this)."""
+        if self._accepting is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        await self._accepting
 
     async def stop(self) -> None:
         """Shut down gracefully: drain, then tear down, then clean up.
 
-        New connections stop immediately; requests already executing get
-        up to ``config.drain_grace`` seconds to produce their responses
-        before the remaining connection tasks are cancelled.  The worker
-        pool is stopped and the shared-memory plan directory unlinked
-        *deterministically* here -- a SIGTERM'd ``repro serve`` leaves no
-        orphan segments behind for the startup sweep to collect.
+        New connections stop immediately; requests already executing on
+        either transport get up to ``config.drain_grace`` seconds to
+        produce their responses.  Then the remaining event-loop
+        connection tasks are cancelled and every JSON connection's
+        socket is shut down, so its thread wakes and exits (joined when
+        the drain succeeded).  The worker pool is stopped and the
+        shared-memory plan directory unlinked *deterministically* here
+        -- a SIGTERM'd ``repro serve`` leaves no orphan segments behind
+        for the startup sweep to collect.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        accepting, self._accepting = self._accepting, None
+        if accepting is not None:
+            accepting.cancel()
+            await asyncio.gather(accepting, return_exceptions=True)
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            listener.close()
         drained = await self._drain(self.config.drain_grace)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
         self._conn_tasks.clear()
+        with self._json_lock:
+            # Under the lock: a thread deregisters before it closes its
+            # socket, so every socket shut down here is still open.
+            json_threads = list(self._json_conns.values())
+            for sock in self._json_conns:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        if drained:
+            # A drained server has idle JSON threads: each is leaving
+            # its read loop, so waiting is brief.
+            for thread in json_threads:
+                thread.join()
         self.service.array_backend = None
         self.service.array_backend_probe = None
         pool, self._pool = self._pool, None
@@ -1162,6 +1202,10 @@ class StatisticsServer:
             self.service.metrics.incr("shutdown_drain_expired")
             return False
         return True
+
+    def _add_inflight(self, delta: int) -> None:
+        with self._inflight_lock:
+            self._inflight += delta
 
     # -- estimator fan-out -------------------------------------------------
 
@@ -1266,124 +1310,206 @@ class StatisticsServer:
 
     # -- connection handling -----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
+    async def _accept_loop(self, listener: socket.socket) -> None:
+        loop = asyncio.get_running_loop()
+        while True:
             try:
-                first = await reader.readexactly(2)
-            except asyncio.IncompleteReadError as error:
-                first = error.partial
-                if not first:
-                    return
-            if first == MAGIC and self.config.binary_enabled:
-                await self._serve_binary(reader, writer, first)
-            elif self.config.json_enabled:
-                await self._serve_json(reader, writer, first)
-            else:
-                # Binary-only server: answer the JSON-lines client with
-                # one parseable error line, then close.
-                writer.write(
-                    json.dumps(
-                        {
-                            "ok": False,
-                            "error": "server requires the binary frame transport",
-                        }
-                    ).encode("utf-8")
-                    + b"\n"
+                sock, _ = await loop.sock_accept(listener)
+            except (ConnectionAbortedError, InterruptedError):
+                continue  # the peer gave up during the handshake
+            except OSError:
+                # Out of descriptors or buffers: back off, keep listening.
+                await asyncio.sleep(_ACCEPT_RETRY_DELAY)
+                continue
+            # Answers are written whole, so Nagle's algorithm can only
+            # hold back their last segment until the client's delayed
+            # ACK (40 ms).  asyncio's transports skip this for sockets
+            # whose ``proto`` is 0, as accepted ones are here.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            task = loop.create_task(self._handle_connection(sock))
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
+
+    async def _handle_connection(self, sock: socket.socket) -> None:
+        """Sniff a new connection's transport and hand it to its server."""
+        owned: Optional[socket.socket] = sock  # closed here unless handed off
+        try:
+            first = await _sniff(sock)
+            if not first:
+                return
+            if first == MAGIC:
+                serve = (
+                    self._serve_binary
+                    if self.config.binary_enabled
+                    else self._refuse_binary
                 )
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+            elif self.config.json_enabled:
+                if self._start_json_thread(sock):
+                    owned = None
+                return
+            else:
+                serve = self._refuse_json
+            reader, writer = await asyncio.open_connection(sock=sock)
+            try:
+                await serve(reader, writer)
+            finally:
+                try:
+                    writer.close()
+                    await writer.wait_closed()
+                except (OSError, RuntimeError):
+                    # RuntimeError: the event loop closed under us during
+                    # server shutdown; nothing left to flush.
+                    pass
+        except OSError:
+            pass  # reset, broken pipe: only this connection ends
         except asyncio.CancelledError:
             # Only stop() cancels connection tasks (after the drain
             # grace); ending normally keeps the cancellation out of
             # asyncio's transport callbacks' logs.
             pass
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError, RuntimeError):
-                # RuntimeError: the event loop closed under us during
-                # server shutdown; nothing left to flush.
-                pass
+            if owned is not None:
+                owned.close()
+
+    async def _refuse_binary(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """JSON-only server: answer the first frame with one error frame.
+
+        The frame is read first so closing does not reset the connection
+        under the client's unread answer.
+        """
+        try:
+            _, length = parse_frame_header(
+                await reader.readexactly(FRAME_HEADER_SIZE)
+            )
+            if length <= self.config.max_frame_bytes:
+                await reader.readexactly(length)
+        except (asyncio.IncompleteReadError, FrameError):
+            pass
+        writer.write(encode_error_frame("server accepts JSON lines only"))
+        await writer.drain()
+
+    async def _refuse_json(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Binary-only server: answer the first line with one error line."""
+        try:
+            await reader.readline()
+        except ValueError:
+            pass  # longer than the stream limit; answer all the same
+        writer.write(
+            encode_line(
+                error_response({}, "server requires the binary frame transport")
+            )
+        )
+        await writer.drain()
 
     # -- JSON lines --------------------------------------------------------
 
-    async def _serve_json(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        initial: bytes,
-    ) -> None:
-        loop = asyncio.get_running_loop()
+    def _start_json_thread(self, sock: socket.socket) -> bool:
+        """Give a JSON-lines connection its own thread; False if refused.
+
+        A thread that cannot be started costs this connection one error
+        line, not the server.
+        """
+        sock.setblocking(True)
+        thread = threading.Thread(
+            target=self._serve_json,
+            args=(sock,),
+            name=f"repro-json-{next(self._json_ids)}",
+            daemon=True,
+        )
+        with self._json_lock:
+            self._json_conns[sock] = thread
+        try:
+            thread.start()
+        except RuntimeError as error:
+            with self._json_lock:
+                self._json_conns.pop(sock, None)
+            self.service.metrics.incr("json_threads_refused")
+            _refuse_now(sock, f"server cannot serve this connection: {error}")
+            return False
+        return True
+
+    def _serve_json(self, sock: socket.socket) -> None:
+        """Serve one JSON-lines connection on its own thread until it closes.
+
+        A line longer than ``config.max_frame_bytes`` is read through its
+        newline and discarded; it gets one error response and the
+        connection stays usable.
+        """
         metrics = self.service.metrics
-        while True:
-            line = await reader.readline()
-            if initial:
-                # The sniffed transport bytes belong to the first line.
-                line, initial = initial + line, b""
-            if not line:
-                break
-            if not line.strip():
-                continue
-            start = perf_counter()
-            # In-flight until the response is on the wire: a graceful
-            # stop() drains accepted requests *and* their writes.
-            self._inflight += 1
-            try:
+        limit = self.config.max_frame_bytes
+        stream = sock.makefile("rb", buffering=_JSON_READ_BUFFER)
+        try:
+            while True:
+                line = stream.readline(limit + 1)
+                if not line:
+                    break
+                start = perf_counter()
+                size = len(line)
+                oversized = size > limit and not line.endswith(b"\n")
+                if oversized:
+                    chunk = line
+                    while chunk and not chunk.endswith(b"\n"):
+                        chunk = stream.readline(_JSON_READ_BUFFER)
+                        size += len(chunk)
+                elif line.isspace():
+                    continue
+                # In-flight until the response is on the wire: a graceful
+                # stop() drains accepted requests *and* their writes.
+                self._add_inflight(1)
                 try:
-                    request = decode_line(line)
-                except Exception as error:
-                    op = "error"
-                    response = error_response({}, f"bad request: {error}")
-                else:
-                    op = str(request.get("op") or "")
-                    # Off the event loop: estimates and inserts take
-                    # locks and run numpy; the accept loop stays free.
-                    response = await loop.run_in_executor(
-                        self._executor, self.service.handle, request
-                    )
-                payload = encode_line(response)
-                writer.write(payload)
-                await writer.drain()
-            finally:
-                self._inflight -= 1
-            metrics.record_wire(
-                "json",
-                frames_in=1,
-                frames_out=1,
-                bytes_in=len(line),
-                bytes_out=len(payload),
-            )
-            metrics.observe_wire_latency("json", op, perf_counter() - start)
+                    if oversized:
+                        op = "error"
+                        response = error_response(
+                            {},
+                            f"request line exceeds this server's "
+                            f"{limit}-byte limit",
+                        )
+                    else:
+                        try:
+                            request = decode_line(line)
+                        except Exception as error:
+                            op = "error"
+                            response = error_response({}, f"bad request: {error}")
+                        else:
+                            op = str(request.get("op") or "")
+                            response = self.service.handle(request)
+                    payload = encode_line(response)
+                    sock.sendall(payload)
+                finally:
+                    self._add_inflight(-1)
+                metrics.record_wire(
+                    "json",
+                    frames_in=1,
+                    frames_out=1,
+                    bytes_in=size,
+                    bytes_out=len(payload),
+                )
+                metrics.observe_wire_latency("json", op, perf_counter() - start)
+        except OSError:
+            pass  # reset, broken pipe, or stop() shut the socket down
+        finally:
+            with self._json_lock:
+                self._json_conns.pop(sock, None)
+            stream.close()
+            sock.close()
 
     # -- binary frames -----------------------------------------------------
 
     async def _serve_binary(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         semaphore = asyncio.Semaphore(self.config.max_inflight)
         write_lock = asyncio.Lock()
         pending: Set[asyncio.Task] = set()
         metrics = self.service.metrics
-        buffered = first
         try:
             while True:
                 try:
-                    header = buffered + await reader.readexactly(
-                        FRAME_HEADER_SIZE - len(buffered)
-                    )
-                    buffered = b""
+                    header = await reader.readexactly(FRAME_HEADER_SIZE)
                 except asyncio.IncompleteReadError:
                     break  # disconnect between (or inside) headers
                 try:
@@ -1451,7 +1577,7 @@ class StatisticsServer:
         loop = asyncio.get_running_loop()
         # In-flight until the response frame is on the wire (see
         # ``_serve_json``): stop() waits for accepted frames to answer.
-        self._inflight += 1
+        self._add_inflight(1)
         try:
             try:
                 op, payload = await loop.run_in_executor(
@@ -1467,7 +1593,7 @@ class StatisticsServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 return
         finally:
-            self._inflight -= 1
+            self._add_inflight(-1)
         metrics = self.service.metrics
         metrics.record_wire(
             "binary",
@@ -1556,6 +1682,87 @@ class StatisticsServer:
             return "error", encode_error_frame(
                 f"{type(error).__name__}: {error}", meta
             )
+
+
+#: Read buffer of a JSON connection's stream; also the chunk size used
+#: to discard the rest of an over-long line.
+_JSON_READ_BUFFER = 1 << 16
+
+#: Pause before accepting again after the listener failed (e.g. out of
+#: file descriptors).
+_ACCEPT_RETRY_DELAY = 0.1
+
+#: How long a connection that sent one byte of the frame magic may take
+#: to send the second before it is served as JSON lines.
+_SNIFF_PATIENCE = 1.0
+
+
+def _listen(host: str, port: int) -> socket.socket:
+    """A non-blocking listening socket on ``(host, port)``.
+
+    ``SO_REUSEADDR`` (set by :func:`socket.create_server` on POSIX), as
+    ``asyncio.start_server`` does: a restarted shard rebinds its port
+    while the old connections sit in TIME_WAIT.
+    """
+    family, _, _, _, address = socket.getaddrinfo(
+        host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+    )[0]
+    listener = socket.create_server(address, family=family, backlog=100)
+    listener.setblocking(False)
+    return listener
+
+
+async def _sniff(sock: socket.socket) -> bytes:
+    """A new connection's first two bytes, peeked and left unread.
+
+    Returns ``b""`` when the peer closed without sending, and a single
+    byte when it cannot start the frame magic (so it is JSON) or when
+    the second byte has not come within ``_SNIFF_PATIENCE`` seconds.
+    """
+    loop = asyncio.get_running_loop()
+    fd = sock.fileno()
+    delay = waited = 0.0
+    while True:
+        readable = loop.create_future()
+        loop.add_reader(fd, _wake, readable)
+        try:
+            await readable
+        finally:
+            loop.remove_reader(fd)
+        try:
+            first = sock.recv(2, socket.MSG_PEEK)
+        except (BlockingIOError, InterruptedError):
+            continue
+        if len(first) == 2 or first != MAGIC[:1] or waited >= _SNIFF_PATIENCE:
+            return first
+        # Half a frame magic: the socket stays readable, so poll (with
+        # backoff) for the second byte.  A peek cannot see a close behind
+        # the byte, hence the patience bound.
+        delay = min(2 * delay or 0.001, 0.05)
+        await asyncio.sleep(delay)
+        waited += delay
+
+
+def _wake(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(None)
+
+
+def _refuse_now(sock: socket.socket, message: str) -> None:
+    """Answer a blocking socket with one error line (the caller closes).
+
+    Input already received is read first, so the close does not reset
+    the connection under the client's unread answer.
+    """
+    try:
+        while sock.recv(_JSON_READ_BUFFER, socket.MSG_DONTWAIT):
+            pass
+    except OSError:
+        pass
+    try:
+        sock.sendall(encode_line(error_response({}, message)))
+    except OSError:
+        pass
 
 
 class ServerHandle:
