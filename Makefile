@@ -60,10 +60,13 @@ bench-maintenance:
 
 # Construction floor: the default acceptance-oracle search must build
 # every dictionary variant >= 3x faster than the classic search on the
-# heavy-tailed zipf column, bit-identically.  Writes BENCH_construction.json.
+# heavy-tailed zipf column, bit-identically.  Also reports (no floor) an
+# ERP table built serially vs on the process build pool.  Writes
+# BENCH_construction.json, with the machine's cores/python/numpy.
 bench-construction:
 	REPRO_BENCH_ASSERT_CONSTRUCTION=1 $(PYTHON) -m pytest -x -q \
-		benchmarks/test_fig9_dict_construction.py::test_construction_oracle_speedup
+		benchmarks/test_fig9_dict_construction.py::test_construction_oracle_speedup \
+		benchmarks/test_fig9_dict_construction.py::test_table_build_pool
 
 lint-artifacts:
 	@bad=$$(git ls-files | grep -E '__pycache__|\.pyc$$' || true); \

@@ -16,13 +16,18 @@ on a heavy-tailed zipf column every dictionary variant built with the
 default ``search="oracle"`` path must be bit-identical to the classic
 search and -- armed via ``REPRO_BENCH_ASSERT_CONSTRUCTION=1``, the
 ``make smoke`` setting -- at least 3x faster end to end (index build
-included).  ``BENCH_construction.json`` records the timings so the perf
-trajectory stays diffable across PRs.
+included).  ``test_table_build_pool`` reports (no floor) a whole ERP
+table built serially and on the persistent process build pool, with
+bit-identical output asserted.  ``BENCH_construction.json`` records the
+timings and the machine (cores, python, numpy) so the perf trajectory
+stays diffable across PRs.
 """
 
 import os
+import platform
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,8 +35,11 @@ import pytest
 from repro.core.builder import build_histogram
 from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
+from repro.core.parallel import build_column_histograms, default_workers
+from repro.core.serialize import serialize_histogram
 from repro.experiments.harness import build_record, rank_series
 from repro.experiments.report import format_table, summarize_series
+from repro.workloads.erp import make_erp_dataset
 
 KINDS = ("1Dinc", "1DincB", "F8Dgt", "V8Dinc", "V8DincB")
 
@@ -44,6 +52,17 @@ ORACLE_SPEEDUP_FLOOR = 3.0
 
 ZIPF_CODES = 50_000
 ZIPF_MOD = 10_000
+
+TABLE_COLUMNS = 48
+TABLE_MAX_DISTINCT = 15_000
+
+
+def _machine() -> dict:
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 @pytest.mark.parametrize("dataset", ["ERP", "BW"])
@@ -152,6 +171,7 @@ def test_construction_oracle_speedup(emit, emit_json):
     emit("construction_oracle_speedup", text)
     payload["floor"] = ORACLE_SPEEDUP_FLOOR
     payload["armed"] = ASSERT_CONSTRUCTION
+    payload["machine"] = _machine()
     emit_json("construction", payload)
 
     if ASSERT_CONSTRUCTION:
@@ -160,3 +180,58 @@ def test_construction_oracle_speedup(emit, emit_json):
                 f"{kind}: oracle speedup {speedups[kind]:.2f}x fell below "
                 f"the {ORACLE_SPEEDUP_FLOOR:.0f}x construction floor"
             )
+
+
+def test_table_build_pool(emit, emit_json):
+    """A whole ERP table, serial vs the process build pool (reported only).
+
+    The pool's first build pays worker start-up (``pool_cold_s``); the
+    compared times are best-of-2 on a warm pool, as a serving process
+    sees every build after its first.
+    """
+    columns = [
+        SimpleNamespace(name=c.name, frequencies=c.dense.frequencies)
+        for c in make_erp_dataset(
+            n_columns=TABLE_COLUMNS, max_distinct=TABLE_MAX_DISTINCT
+        )
+    ]
+    workers = default_workers()
+
+    def timed(executor):
+        start = time.perf_counter()
+        built = build_column_histograms(
+            columns, kind="V8DincB", max_workers=workers, executor=executor
+        )
+        return time.perf_counter() - start, built
+
+    cold_s, pooled = timed("process")
+    serial_s, serial = min((timed("serial") for _ in range(2)), key=lambda r: r[0])
+    pool_s, pooled = min((timed("process") for _ in range(2)), key=lambda r: r[0])
+    assert {n: serialize_histogram(h) for n, h in pooled.items()} == {
+        n: serialize_histogram(h) for n, h in serial.items()
+    }, "the build pool changed a histogram"
+
+    distinct = sum(int(c.frequencies.size) for c in columns)
+    text = format_table(
+        ["columns", "distinct", "workers", "serial s", "pool s", "speedup", "cold s"],
+        [[len(columns), distinct, workers, f"{serial_s:.3f}", f"{pool_s:.3f}",
+          f"{serial_s / pool_s:.2f}x", f"{cold_s:.3f}"]],
+    )
+    text += "\nV8DincB, make_erp_dataset; reported only (no floor)"
+    emit("construction_table_build", text)
+    emit_json(
+        "construction",
+        {
+            "table_build": {
+                "columns": len(columns),
+                "distinct": distinct,
+                "kind": "V8DincB",
+                "workers": workers,
+                "serial_s": round(serial_s, 4),
+                "pool_s": round(pool_s, 4),
+                "pool_cold_s": round(cold_s, 4),
+                "speedup": round(serial_s / pool_s, 2),
+                "machine": _machine(),
+            }
+        },
+    )

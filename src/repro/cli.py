@@ -343,6 +343,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.core.parallel import shutdown_build_pools
     from repro.service.config import ServiceConfig
     from repro.service.refresh import RefreshScheduler
     from repro.service.server import StatisticsServer, StatisticsService
@@ -398,6 +399,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         await server.start()
         host, port = server.address
+        # Graceful SIGTERM/SIGINT: stop accepting, stop the worker pools,
+        # unlink shared-plan segments -- a supervisor's `kill` cleans up
+        # immediately instead of leaning on the next startup sweep.
+        # Installed before the address is announced, so a signal sent
+        # the moment a wrapper sees it is handled, not fatal.
+        stop_requested = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, stop_requested.set)
+            except (NotImplementedError, OSError, RuntimeError):
+                pass
         # Flush so wrappers watching a pipe see the address immediately.
         print(
             f"serving statistics on {host}:{port} "
@@ -406,16 +419,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"estimator workers={runtime.estimator_workers}; ctrl-c to stop)",
             flush=True,
         )
-        # Graceful SIGTERM/SIGINT: stop accepting, stop the worker pool,
-        # unlink shared-plan segments -- a supervisor's `kill` cleans up
-        # immediately instead of leaning on the next startup sweep.
-        stop_requested = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-            except (NotImplementedError, OSError, RuntimeError):
-                pass
         try:
             await stop_requested.wait()
         finally:
@@ -429,6 +432,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("shutting down", flush=True)
         scheduler.stop()
         service.close()
+        shutdown_build_pools()
     return 0
 
 
@@ -870,7 +874,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--build-workers", type=int, default=0,
-        help="build pool width (0 = one per CPU)",
+        help="build pool width: worker processes, started once and "
+        "reused by every build, largest column first (0 = one per CPU; "
+        "1 = build serially, no pool)",
     )
     serve.add_argument(
         "--handler-threads", type=int, default=8,

@@ -19,10 +19,12 @@ holds the batch implementations that make those tests cheap:
 * :func:`batch_slope_constraints` / :func:`slope_constraints` -- the
   α-feasibility constraints of the QVWH/value-based incremental
   builders, shared between dense (index-space) and non-dense
-  (value-space) construction.
+  (value-space) construction; :func:`interval_slope_bounds` is their
+  per-interval form, which the chunked QVWH growth reduces per step.
 * :class:`AcceptanceCache` -- a per-build memo for acceptance decisions
   and slope constraints, so ``FindLargest`` doubling/binary search and
-  the QVWH α-bound loop never recompute an identical range.
+  the classic QVWH and value-based α-bound loops never recompute an
+  identical range.
 
 Decision equivalence: the vectorized kernel reproduces the scalar
 kernels' comparisons on the *same float64 values* (estimates are taken
@@ -48,6 +50,7 @@ __all__ = [
     "acceptance_matrix_batch",
     "pretest_dense_batch",
     "batch_slope_constraints",
+    "interval_slope_bounds",
     "slope_constraints",
     "slope_constraints_scalar",
     "value_slope_constraints_scalar",
@@ -412,6 +415,35 @@ def batch_slope_constraints(
     return lb, ub
 
 
+def interval_slope_bounds(
+    truths: np.ndarray, widths: np.ndarray, theta: float, q: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-interval α bounds: the elementwise form of
+    :func:`batch_slope_constraints`.
+
+    Returns ``(lbs, ubs)`` with ``lbs`` 0.0 where ``F <= θ`` (no lower
+    bound).  Each element runs the batch kernel's IEEE operations and
+    ``nextafter`` repair, so the max of ``lbs`` and min of ``ubs`` over
+    any set of intervals equal its (lb, ub) for that set bit for bit.
+    ``q >= 1`` (as :class:`~repro.core.config.HistogramConfig`
+    enforces) makes ``max(θ, q F)`` equal ``q F`` whenever ``F > θ``,
+    so one cap serves both kinds of interval.
+    """
+    big = truths > theta
+    lbs = truths / (q * widths)
+    bad = big & (q * (lbs * widths) < truths)
+    while bad.any():
+        lbs[bad] = np.nextafter(lbs[bad], np.inf)
+        bad[bad] = q * (lbs[bad] * widths[bad]) < truths[bad]
+    caps = np.maximum(theta, q * truths)
+    ubs = caps / widths
+    bad = ubs * widths > caps
+    while bad.any():
+        ubs[bad] = np.nextafter(ubs[bad], -np.inf)
+        bad[bad] = ubs[bad] * widths[bad] > caps[bad]
+    return np.where(big, lbs, 0.0), ubs
+
+
 def slope_constraints(
     cum: np.ndarray, i_low: int, j: int, theta: float, q: float
 ) -> Tuple[float, float]:
@@ -427,9 +459,9 @@ def slope_constraints_scalar(
 ) -> Tuple[float, float]:
     """Pure-scalar :func:`slope_constraints` over Python-list prefix sums.
 
-    The bounded (``incB``) growth loop's Corollary 4.2 windows typically
-    hold only a handful of intervals, where one numpy dispatch costs far
-    more than the arithmetic itself.  This mirror runs the *same* IEEE
+    The QVWH growth loop's first steps scan only a handful of intervals
+    (step ``m`` at most ``m``), where one numpy dispatch costs far more
+    than the arithmetic itself.  This mirror runs the *same* IEEE
     double operations in the same per-element order — including the
     ``nextafter`` ulp repair, which is an independent per-element fixed
     point — so its (lb, ub) is bit-identical to the batch kernel's.

@@ -8,6 +8,21 @@ that is embarrassingly parallel work.  This module fans the per-column
 :class:`~repro.core.catalog.StatisticsCatalog` with a single manifest
 rewrite instead of one per ``put``.
 
+Construction is CPU-bound Python, so threads share one GIL and a thread
+pool builds no faster than a loop; ``executor="process"`` (the default)
+runs on the process's *build pool*: one ``ProcessPoolExecutor`` per
+(``os.getpid()``, width), created on first use and reused by every later
+build, so a serving process pays worker start-up once rather than per
+``build`` request.  Its workers come from a ``forkserver`` that has
+already imported this module (``spawn`` where forkserver is unavailable,
+or in a forked child whose parent started one), never from ``fork``: a
+service builds while its event loop, connection and refresh threads
+run, and forking a threaded process copies locks mid-use.  The pid key
+gives a forked child its own pool; workers exit when their parent dies,
+and :func:`shutdown_build_pools` stops them on a clean exit.  Columns are
+submitted largest first, so the longest build starts at once instead of
+setting the critical path at the end.
+
 Columns cross the process boundary as (name, frequencies, values)
 payloads and histograms come back serialized, so both the thread and the
 process executor see identical, picklable traffic; results are
@@ -25,8 +40,12 @@ travels back beside the histogram bytes.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -44,6 +63,7 @@ __all__ = [
     "build_table_histograms",
     "default_workers",
     "make_executor",
+    "shutdown_build_pools",
     "submit_histogram_build",
     "EXECUTOR_KINDS",
 ]
@@ -90,12 +110,90 @@ def _payload_for(
     )
 
 
-def _make_executor(executor: str, max_workers: Optional[int], n_jobs: int) -> Executor:
-    # Never spin up more workers than there are columns to build.
-    workers = min(max_workers or default_workers(), n_jobs)
-    if executor == "process":
-        return ProcessPoolExecutor(max_workers=workers)
-    return ThreadPoolExecutor(max_workers=workers)
+# The build pools of this process, keyed by (pid, width): a forked child
+# sees its parent's entries under the parent's pid and starts its own.
+_POOLS: Dict[Tuple[int, int], ProcessPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+# The process whose build pool started the forkserver.  A forked child
+# inherits the stdlib's handle on that server, which it cannot manage
+# (it is not the server's parent), so its own pools use spawn.
+_FORKSERVER_OWNER: Optional[int] = None
+
+
+def _renew_pools_lock() -> None:
+    # Another thread may hold the lock at fork time; the child's copy
+    # would then stay locked forever.
+    global _POOLS_LOCK
+    _POOLS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_pools_lock)
+
+
+def _pool_context():
+    global _FORKSERVER_OWNER
+    pid = os.getpid()
+    if "forkserver" in multiprocessing.get_all_start_methods() and (
+        _FORKSERVER_OWNER in (None, pid)
+    ):
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([__name__])
+        _FORKSERVER_OWNER = pid
+        return context
+    return multiprocessing.get_context("spawn")
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit as soon as the parent process dies.
+
+    A parent killed outright (SIGKILL, OOM) never shuts its pool down,
+    and idle workers would otherwise wait on the task queue forever.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        os._exit(0)
+
+    threading.Thread(target=watch, name="build-pool-parent", daemon=True).start()
+
+
+def _build_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's persistent build pool of ``workers`` processes."""
+    key = (os.getpid(), workers)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
+        if pool is None:
+            pool = _POOLS[key] = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=_pool_context(),
+                initializer=_exit_with_parent,
+            )
+        return pool
+
+
+def _discard_pool(pool: ProcessPoolExecutor) -> None:
+    with _POOLS_LOCK:
+        for key, held in list(_POOLS.items()):
+            if held is pool:
+                del _POOLS[key]
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+def shutdown_build_pools() -> None:
+    """Stop this process's build pools and wait for their workers.
+
+    Later builds start a fresh pool.  Interpreter exit stops the pools
+    too; servers call this on shutdown so no worker outlives them.
+    """
+    pid = os.getpid()
+    with _POOLS_LOCK:
+        mine = [key for key in _POOLS if key[0] == pid]
+        pools = [_POOLS.pop(key) for key in mine]
+    for pool in pools:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _resolve_executor(executor: str, n_jobs: int, max_workers: Optional[int]) -> str:
@@ -103,8 +201,11 @@ def _resolve_executor(executor: str, n_jobs: int, max_workers: Optional[int]) ->
         raise ValueError(f"unknown executor {executor!r}; pick from {EXECUTOR_KINDS}")
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
-    # A pool is pure overhead for one job or one worker.
+    # A pool is pure overhead for one job or one worker, and a daemonic
+    # process (a fleet shard) may not start pool workers at all.
     if n_jobs <= 1 or max_workers == 1:
+        return "serial"
+    if executor == "process" and multiprocessing.current_process().daemon:
         return "serial"
     return executor
 
@@ -127,11 +228,13 @@ def build_column_histograms(
     kind:
         Any of :data:`~repro.core.builder.HISTOGRAM_KINDS`.
     max_workers:
-        Pool width; ``None`` lets ``concurrent.futures`` pick
-        (``os.cpu_count()``-based).
+        Pool width; ``None`` is :func:`default_workers` (one per CPU).
     executor:
         ``"process"`` (default: construction is CPU-bound Python, so
-        only processes scale), ``"thread"`` or ``"serial"``.
+        only processes scale; runs on this process's persistent build
+        pool), ``"thread"`` or ``"serial"``.  One column,
+        ``max_workers=1``, or ``"process"`` inside a daemonic process
+        (which may not have children) builds serially, with no pool.
     phase_sink:
         When given, every build runs traced and ``phase_sink(name,
         profile)`` receives its per-phase timing/counter profile (the
@@ -144,16 +247,27 @@ def build_column_histograms(
     if len(set(names)) != len(names):
         raise ValueError("columns must have unique names")
     mode = _resolve_executor(executor, len(payloads), max_workers)
+    workers = max_workers or default_workers()
+    # Largest column first: the longest build starts at once instead of
+    # setting the critical path at the end (stable for equal sizes).
+    ordered = sorted(payloads, key=lambda payload: -payload[1].size)
     if mode == "serial":
-        results = map(_build_one, payloads)
+        results = map(_build_one, ordered)
+    elif mode == "thread":
+        with ThreadPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+            results = list(pool.map(_build_one, ordered))
     else:
-        pool = _make_executor(mode, max_workers, len(payloads))
+        pool = _build_pool(workers)
         try:
-            results = list(pool.map(_build_one, payloads))
-        finally:
-            pool.shutdown()
+            results = list(pool.map(_build_one, ordered))
+        except BrokenProcessPool:
+            # A worker died; the next build starts a fresh pool.
+            _discard_pool(pool)
+            raise
+    built = {name: (data, profile) for name, data, profile in results}
     histograms: Dict[str, Histogram] = {}
-    for name, data, profile in results:
+    for name in names:
+        data, profile = built[name]
         histograms[name] = deserialize_histogram(data)
         if phase_sink is not None and profile is not None:
             phase_sink(name, profile)

@@ -19,12 +19,17 @@ Corollary 4.2 (computed from the most pessimistic -- smallest -- α seen
 so far, so the window dominates the bound for every α the bucket has
 taken); this is the ``incB`` family of the evaluation.
 
-With ``config.search == "oracle"`` the per-step constraints run through
-:func:`~repro.core.kernels.slope_constraints_scalar` over the column's
-Python-list prefix sums (the bounded windows typically hold a handful
-of intervals, where a numpy dispatch costs more than the arithmetic),
-falling back to the batch kernel for wide windows.  Both compute the
-same IEEE doubles, so grown boundaries are bit-identical either way.
+With ``config.search == "oracle"`` (:func:`_grow_bucklet_oracle`) the
+first few growth steps -- where most bucklets end -- run one at a time
+over the column's Python-list prefix sums, and every later step is
+resolved a block at a time: one numpy pass computes a whole block's
+slopes, running ``alpha_min``, windows, the constraints of every
+interval the block's steps scan and the running ``[αLB, αUB]``, then
+picks the first violating step.  Both phases run the batch kernel's
+per-interval arithmetic and max/min are exact, so widths -- and the
+``acceptance_tests``/``search_probes``/``intervals_scanned`` counters,
+which stop at the violating step -- equal the step-at-a-time loop's.
+``search == "classic"`` keeps that loop as the reference.
 """
 
 from __future__ import annotations
@@ -32,12 +37,15 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.buckets import AtomicDenseBucket, VariableWidthBucket
 from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
 from repro.core.histogram import Histogram
 from repro.core.kernels import (
     AcceptanceCache,
+    interval_slope_bounds,
     slope_constraints,
     slope_constraints_scalar,
 )
@@ -55,9 +63,15 @@ __all__ = [
 # The 9-bit width fields cap seven of the eight bucklets at 511 values.
 MAX_BOUNDED_BUCKLET = 511
 
-# Corollary 4.2 windows at or below this many intervals take the scalar
-# constraints path; wider ones amortize a numpy dispatch.
-_SCALAR_WINDOW = 64
+# Chunked growth (the oracle path): the first _SCALAR_STEPS steps run
+# one at a time (they scan at most 1 + 2 + ... + _SCALAR_STEPS intervals);
+# then the first block resolves _FIRST_BLOCK steps, later blocks double up
+# to _MAX_BLOCK, and a block is cut back so its ragged interval array
+# stays within _ELEMENT_BUDGET entries.
+_SCALAR_STEPS = 16
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 512
+_ELEMENT_BUDGET = 1 << 16
 
 
 class GrowStats:
@@ -85,11 +99,11 @@ def grow_bucklet(
 
     Returns ``m`` with ``0 <= m <= m_max``; at least 1 whenever
     ``m_max >= 1`` (a single dense value always estimates itself
-    exactly).  A shared ``cache`` memoizes the per-(window, right
-    endpoint) slope constraints, which recur when the next bucklet's
-    first extension re-scans the window of the previous failure.
-    ``use_oracle`` selects the scalar fast path (bit-identical growth,
-    far fewer kernel dispatches).
+    exactly).  On the classic path a shared ``cache`` memoizes the
+    per-(window, right endpoint) slope constraints, which recur when the
+    next bucklet's first extension re-scans the window of the previous
+    failure.  ``use_oracle`` selects the chunked path (bit-identical
+    growth, one numpy pass per block of steps; it needs no cache).
     """
     if m_max <= 0:
         return 0
@@ -97,9 +111,7 @@ def grow_bucklet(
         raise IndexError(f"start {l} out of range")
     m_max = min(m_max, density.n_distinct - l)
     if use_oracle:
-        return _grow_bucklet_oracle(
-            density, l, m_max, theta, q, bounded, stats, cache, trace
-        )
+        return _grow_bucklet_oracle(density, l, m_max, theta, q, bounded, stats, trace)
     cum = density.cumulative
     base = int(cum[l])
     acceptance = trace.timer("acceptance_tests")
@@ -151,64 +163,105 @@ def _grow_bucklet_oracle(
     q: float,
     bounded: bool,
     stats: Optional[GrowStats],
-    cache: Optional[AcceptanceCache],
     trace,
 ) -> int:
     """The ``use_oracle`` body of :func:`grow_bucklet`.
 
-    Same α-bound recurrence on the same float64 values; constraints come
-    from the cache, the scalar mirror, or (wide windows) the batch
-    kernel — all three bit-identical — so the grown width matches the
-    classic loop exactly.
+    The first :data:`_SCALAR_STEPS` steps run one at a time over the
+    Python-list prefix sums (:func:`~repro.core.kernels.slope_constraints_scalar`):
+    a step scans at most ``m`` intervals, and most bucklets end within a
+    few steps, where a numpy pass costs more than the arithmetic.  Later
+    steps are resolved a block at a time.  Steps ``m_a .. m_b`` of a
+    block share every array operation: their slopes, the running
+    ``alpha_min`` and Corollary 4.2 windows, one ragged (step, i) array
+    of every interval the steps scan, the per-interval bounds
+    (:func:`~repro.core.kernels.interval_slope_bounds`: the batch
+    kernel's IEEE operations and ``nextafter`` repair), per-step max/min
+    reductions and the running ``alpha_lb``/``alpha_ub``.  Max and min
+    are exact, so every step sees the float64 bounds the sequential loop
+    sees and the first violating step -- hence the width -- is
+    identical.  Blocks double from :data:`_FIRST_BLOCK` steps, are cut
+    back to :data:`_ELEMENT_BUDGET` intervals (never below one step), and
+    the steps past a violation are discarded: counters only cover steps
+    up to and including the violating one.
     """
-    index = density.ensure_index()
-    cum = index.cum_list
-    np_cum = density.cumulative
+    cum = density.ensure_index().cum_list
     base = cum[l]
     alpha_lb = 0.0
     alpha_ub = math.inf
     alpha_min = math.inf
     tests = 0
     scanned = 0
-    cache_hits = 0
     try:
         with trace.timer("acceptance_tests"):
-            for m in range(1, m_max + 1):
+            for m in range(1, min(m_max, _SCALAR_STEPS) + 1):
                 j = l + m
-                total = float(cum[j] - base)
-                alpha = total / m
+                alpha = float(cum[j] - base) / m
                 if alpha < alpha_min:
                     alpha_min = alpha
                 if bounded:
-                    window = math.ceil(2.0 * theta / alpha_min) + 3
-                    i_low = j - window
-                    if i_low < l:
-                        i_low = l
+                    i_low = max(l, j - (math.ceil(2.0 * theta / alpha_min) + 3))
                 else:
                     i_low = l
                 tests += 1
                 scanned += j - i_low
-                bounds = None
-                key = None
-                if cache is not None:
-                    key = (i_low, j, theta, q)
-                    bounds = cache.lookup_constraints(key)
-                if bounds is None:
-                    if j - i_low <= _SCALAR_WINDOW:
-                        bounds = slope_constraints_scalar(cum, i_low, j, theta, q)
-                    else:
-                        bounds = slope_constraints(np_cum, i_low, j, theta, q)
-                    if key is not None:
-                        cache.store_constraints(key, bounds)
-                else:
-                    cache_hits += 1
-                lb_new, ub_new = bounds
+                lb_new, ub_new = slope_constraints_scalar(cum, i_low, j, theta, q)
                 if lb_new > alpha_lb:
                     alpha_lb = lb_new
                 if ub_new < alpha_ub:
                     alpha_ub = ub_new
                 if alpha < alpha_lb or alpha > alpha_ub:
                     return m - 1
+            cum = density.cumulative
+            m_a = _SCALAR_STEPS + 1
+            block = _FIRST_BLOCK
+            while m_a <= m_max:
+                ms = np.arange(m_a, min(m_a + block, m_max + 1), dtype=np.int64)
+                js = l + ms
+                alphas = (cum[js] - base).astype(np.float64) / ms
+                mins = np.minimum(np.minimum.accumulate(alphas), alpha_min)
+                if bounded:
+                    # Float ceil is exact; a window past the bucklet start
+                    # (even an astronomically wide one) clamps to ``l``.
+                    windows = np.ceil(2.0 * theta / mins) + 3.0
+                    lows = np.maximum(js - windows, l).astype(np.int64)
+                else:
+                    lows = np.full(ms.size, l, dtype=np.int64)
+                counts = js - lows
+                ends = np.cumsum(counts)
+                steps = max(int(np.searchsorted(ends, _ELEMENT_BUDGET, "right")), 1)
+                if steps < ms.size:
+                    ms, js, alphas = ms[:steps], js[:steps], alphas[:steps]
+                    mins, lows, counts, ends = (
+                        mins[:steps], lows[:steps], counts[:steps], ends[:steps]
+                    )
+                starts = ends - counts
+                j_flat = np.repeat(js, counts)
+                i_flat = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(
+                    lows - starts, counts
+                )
+                truths = (cum[j_flat] - cum[i_flat]).astype(np.float64)
+                widths = np.subtract(j_flat, i_flat, dtype=np.float64)
+                lbs, ubs = interval_slope_bounds(truths, widths, theta, q)
+                lb_run = np.maximum(
+                    np.maximum.accumulate(np.maximum.reduceat(lbs, starts)), alpha_lb
+                )
+                ub_run = np.minimum(
+                    np.minimum.accumulate(np.minimum.reduceat(ubs, starts)), alpha_ub
+                )
+                violated = (alphas < lb_run) | (alphas > ub_run)
+                k = int(violated.argmax())
+                if violated[k]:
+                    tests += k + 1
+                    scanned += int(ends[k])
+                    return int(ms[k]) - 1
+                tests += steps
+                scanned += int(ends[-1])
+                alpha_lb = float(lb_run[-1])
+                alpha_ub = float(ub_run[-1])
+                alpha_min = float(mins[-1])
+                m_a += steps
+                block = min(2 * block, _MAX_BLOCK)
         return m_max
     finally:
         if stats is not None:
@@ -216,8 +269,6 @@ def _grow_bucklet_oracle(
         trace.count("acceptance_tests", tests)
         trace.count("search_probes", tests)
         trace.count("intervals_scanned", scanned)
-        if cache_hits:
-            trace.count("acceptance_cache_hits", cache_hits)
 
 
 def _grow_bucket(

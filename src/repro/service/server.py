@@ -194,8 +194,11 @@ class StatisticsService:
     cache_capacity:
         LRU capacity of the serving store.
     build_executor, build_workers:
-        Pool shape for whole-table builds (threads by default: a serving
-        process should not fork a process pool per ``build`` request).
+        Pool shape for whole-table builds.  ``"process"`` (the default)
+        builds on the process's persistent forkserver build pool (see
+        :mod:`repro.core.parallel`), started on the first build and
+        reused by every later one; threads would share one GIL.
+        ``build_workers=1`` builds serially, with no pool.
     counter_base:
         Morris base for the maintenance registers.
     seed:
@@ -225,7 +228,7 @@ class StatisticsService:
         kind: str = "V8DincB",
         config: HistogramConfig = HistogramConfig(),
         cache_capacity: int = 128,
-        build_executor: str = "thread",
+        build_executor: str = "process",
         build_workers: Optional[int] = None,
         counter_base: float = 1.05,
         seed: Optional[int] = None,

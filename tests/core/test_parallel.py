@@ -1,5 +1,9 @@
 """Parallel multi-column histogram construction."""
 
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -7,11 +11,14 @@ from repro.core.builder import build_histogram
 from repro.core.catalog import StatisticsCatalog
 from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
+from repro.core import parallel
 from repro.core.parallel import (
     build_column_histograms,
     build_table_histograms,
     default_workers,
+    shutdown_build_pools,
 )
+from repro.core.serialize import serialize_histogram
 from repro.dictionary.column import DictionaryEncodedColumn
 from repro.dictionary.table import Table
 
@@ -146,3 +153,117 @@ class TestBuildTableHistograms:
             table, max_workers=2, executor="process", catalog=catalog
         )
         assert set(catalog.entries()) == {("orders", name) for name in got}
+
+
+def serialized(histograms):
+    return {name: serialize_histogram(h) for name, h in histograms.items()}
+
+
+class TestBuildPool:
+    def test_pool_matches_serial_byte_for_byte(self, rng):
+        columns = _columns(rng, n=6)
+        config = HistogramConfig(q=2.0, theta=16)
+        for kind in ("V8DincB", "1Dinc", "F8Dgt", "1VincB1"):
+            serial = build_column_histograms(
+                columns, kind=kind, config=config, executor="serial"
+            )
+            pooled = build_column_histograms(
+                columns, kind=kind, config=config, max_workers=2, executor="process"
+            )
+            assert serialized(pooled) == serialized(serial), kind
+
+    def test_results_keep_input_order(self, rng):
+        # Columns go to the pool largest first; the result (and the
+        # phase sink) still follow the caller's order.
+        columns = _columns(rng, n=5)[::-1]
+        sunk = []
+        got = build_column_histograms(
+            columns,
+            max_workers=2,
+            executor="process",
+            phase_sink=lambda name, profile: sunk.append(name),
+        )
+        names = [c.name for c in columns]
+        assert list(got) == names
+        assert sunk == names
+
+    def test_submits_largest_column_first(self, rng, monkeypatch):
+        columns = _columns(rng, n=5)
+        submitted = []
+
+        class RecordingPool:
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                submitted.extend(payload[0] for payload in payloads)
+                return map(fn, payloads)
+
+        monkeypatch.setattr(parallel, "_build_pool", lambda workers: RecordingPool())
+        got = build_column_histograms(columns, max_workers=2, executor="process")
+        sizes = {c.name: c.frequencies.size for c in columns}
+        assert [sizes[name] for name in submitted] == sorted(
+            sizes.values(), reverse=True
+        )
+        assert list(got) == [c.name for c in columns]
+
+    def test_one_worker_builds_without_a_pool(self, rng, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("max_workers=1 must not start a pool")
+
+        monkeypatch.setattr(parallel, "_build_pool", no_pool)
+        got = build_column_histograms(
+            _columns(rng, n=3), max_workers=1, executor="process"
+        )
+        assert len(got) == 3
+
+    def test_shutdown_then_rebuild(self, rng):
+        columns = _columns(rng, n=3)
+        expected = serialized(
+            build_column_histograms(columns, max_workers=2, executor="process")
+        )
+        shutdown_build_pools()
+        assert serialized(
+            build_column_histograms(columns, max_workers=2, executor="process")
+        ) == expected
+
+    def test_broken_pool_is_replaced(self, rng):
+        columns = _columns(rng, n=3)
+        expected = serialized(
+            build_column_histograms(columns, max_workers=2, executor="process")
+        )
+        # A worker that dies outright breaks the pool for every caller.
+        died = parallel._build_pool(2).submit(os._exit, 1)
+        assert isinstance(died.exception(timeout=60), BrokenProcessPool)
+        with pytest.raises(BrokenProcessPool):
+            build_column_histograms(columns, max_workers=2, executor="process")
+        assert serialized(
+            build_column_histograms(columns, max_workers=2, executor="process")
+        ) == expected
+
+    def test_forked_child_builds_on_its_own_pool(self, rng):
+        columns = _columns(rng, n=4)
+        expected = serialized(
+            build_column_histograms(columns, max_workers=2, executor="process")
+        )
+        pid = os.fork()
+        if pid == 0:  # child: never return into pytest
+            code = 1
+            try:
+                got = build_column_histograms(
+                    columns, max_workers=2, executor="process"
+                )
+                own = (os.getpid(), 2) in parallel._POOLS
+                code = 0 if own and serialized(got) == expected else 2
+                shutdown_build_pools()
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung building on the process pool")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0

@@ -7,6 +7,8 @@ must equal the classic search's exactly, not just approximately.  These
 tests pin that contract over fixed heavy-tailed/uniform/ERP columns and
 under hypothesis-generated densities, plus the ``repair_histogram``
 span-rebuild path and the :class:`DensityIndex` primitives it leans on.
+``TestChunkedGrowth`` holds the block-at-a-time ``GrowBucklet`` to the
+step-at-a-time loop: same width and the same work counters.
 """
 
 import numpy as np
@@ -15,12 +17,15 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import qvwh
 from repro.core.builder import build_histogram
 from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity, DensityIndex
+from repro.core.kernels import batch_slope_constraints, interval_slope_bounds
 from repro.core.repair import buckets_acceptable, repair_histogram
 from repro.core.search import AcceptanceOracle, find_largest_oracle
 from repro.engine import build
+from repro.obs import Trace
 
 DICT_KINDS = ("F8Dgt", "V8Dinc", "V8DincB", "1Dinc", "1DincB")
 VALUE_KINDS = ("1VincB1", "1VincB2")
@@ -238,3 +243,177 @@ class TestRepairParity:
             repaired_classic.histogram
         )
         assert repaired_oracle.splits == repaired_classic.splits
+
+
+# -- chunked growth (qvwh._grow_bucklet_oracle) ------------------------------
+
+plateau = st.tuples(st.integers(1, 40), st.integers(1, 60)).map(
+    lambda shape: [shape[1]] * shape[0]
+)
+spike = st.integers(500, 50_000).map(lambda height: [height])
+long_tail = st.tuples(st.integers(2, 120), st.floats(0.6, 2.5)).map(
+    lambda shape: [
+        max(1, int(3_000 / (rank + 1) ** shape[1])) for rank in range(shape[0])
+    ]
+)
+shaped_freqs = st.lists(
+    st.one_of(plateau, spike, long_tail), min_size=1, max_size=12
+).map(lambda segments: [f for segment in segments for f in segment])
+
+
+def grow_both(freqs, l, m_max, theta, q, bounded):
+    """(width, intervals_scanned, trace counters) for both growth paths."""
+    density = AttributeDensity(np.asarray(freqs, dtype=np.int64))
+    out = []
+    for use_oracle in (True, False):
+        stats = qvwh.GrowStats()
+        trace = Trace()
+        width = qvwh.grow_bucklet(
+            density, l, m_max, theta, q, bounded=bounded, stats=stats,
+            trace=trace, use_oracle=use_oracle,
+        )
+        out.append((width, stats.intervals_scanned, trace.root.counter_totals()))
+    return out
+
+
+def assert_same_growth(freqs, l, m_max, theta, q, bounded):
+    (width, scanned, counters), (ref_width, ref_scanned, ref_counters) = grow_both(
+        freqs, l, m_max, theta, q, bounded
+    )
+    assert width == ref_width
+    assert scanned == ref_scanned
+    assert counters["acceptance_tests"] == ref_counters["acceptance_tests"]
+    assert counters["search_probes"] == ref_counters["acceptance_tests"]
+    assert counters["intervals_scanned"] == ref_counters["intervals_scanned"]
+    return width
+
+
+class TestChunkedGrowth:
+    """The block-at-a-time growth kernel against the step-at-a-time
+    classic loop: same width, same work counters."""
+
+    @given(
+        freqs=shaped_freqs,
+        start=st.floats(0.0, 0.99),
+        stop=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        # Log-uniform from far below one row to past the column total:
+        # windows from three intervals to the whole bucklet.
+        theta_exp=st.one_of(st.just(None), st.floats(-6.0, 0.3)),
+        q=st.sampled_from([1.1, 2.0, 4.0]),
+        bounded=st.booleans(),
+        m_max=st.sampled_from([1, 511, None]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_classic_loop(
+        self, freqs, start, stop, theta_exp, q, bounded, m_max
+    ):
+        d = len(freqs)
+        l = min(int(start * d), d - 1)
+        # A stop-capped span (repair) limits growth to [l, stop).
+        cap = d - l if stop is None else max(1, int(stop * (d - l)))
+        m_max = cap if m_max is None else min(m_max, cap)
+        theta = 0.0 if theta_exp is None else sum(freqs) * 10.0**theta_exp
+        assert_same_growth(freqs, l, m_max, theta, q, bounded)
+
+    @given(
+        truths=st.lists(st.integers(0, 10**7), min_size=1, max_size=64),
+        widths=st.lists(st.integers(1, 5_000), min_size=64, max_size=64),
+        theta=st.sampled_from([0.0, 1.0, 37.5, 1e4]),
+        q=st.sampled_from([1.1, 1.3, 2.0, 4.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_interval_bounds_match_batch_kernel(self, truths, widths, theta, q):
+        t = np.asarray(truths, dtype=np.float64)
+        w = np.asarray(widths[: len(truths)], dtype=np.float64)
+        lbs, ubs = interval_slope_bounds(t.copy(), w.copy(), theta, q)
+        for k in range(t.size):
+            lb, ub = batch_slope_constraints(t[k : k + 1], w[k : k + 1], theta, q)
+            assert (lbs[k], ubs[k]) == (lb, ub)
+
+    def test_interval_bounds_repair_rounding(self):
+        # q = 1.1 rounds many raw bounds onto the wrong side of their own
+        # inequality; every returned bound must pass the direct check.
+        rng = np.random.default_rng(4)
+        t = rng.integers(1, 10**6, size=4_000).astype(np.float64)
+        w = rng.integers(1, 3_000, size=4_000).astype(np.float64)
+        lbs, ubs = interval_slope_bounds(t, w, 0.0, 1.1)
+        assert not np.any(1.1 * (lbs * w) < t)
+        assert not np.any(ubs * w > 1.1 * t)
+        assert np.any(1.1 * ((t / (1.1 * w)) * w) < t), "no bound needed repair"
+
+    @pytest.mark.parametrize("budget", [None, 20])
+    @pytest.mark.parametrize(
+        "edge",
+        [qvwh._SCALAR_STEPS, qvwh._SCALAR_STEPS + qvwh._FIRST_BLOCK],
+        ids=["scalar-to-block", "block-to-block"],
+    )
+    def test_window_follows_smallest_alpha_across_blocks(
+        self, monkeypatch, edge, budget
+    ):
+        # The slope bottoms out on the last step before a block edge and
+        # jumps on the first step after it: the next block must size its
+        # windows from the carried minimum (one interval wider here), also
+        # when the element budget cuts blocks short.
+        if budget is not None:
+            monkeypatch.setattr(qvwh, "_ELEMENT_BUDGET", budget)
+        freqs = [100] * (edge - 15) + [40] * 15 + [200] + [100] * 300
+        width = assert_same_growth(freqs, 0, len(freqs), 150.0, 4.0, True)
+        assert width > edge + 2 * qvwh._FIRST_BLOCK
+
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            # Rising: stops on the upper slope bound of the first values.
+            [int(round(10 * 1.03**i)) for i in range(300)],
+            # Falling to a plateau: stops on their lower slope bound.
+            [int(v) for v in np.linspace(100, 20, 50).round()] + [20] * 1000,
+        ],
+        ids=["upper", "lower"],
+    )
+    def test_bounds_carry_across_blocks(self, freqs):
+        # Gentle ramps never violate inside a Corollary 4.2 window; the
+        # growth stops only on a bound set several blocks earlier.
+        width = assert_same_growth(freqs, 0, len(freqs), 1.0, 4.0, True)
+        assert qvwh._SCALAR_STEPS + 2 * qvwh._FIRST_BLOCK < width < len(freqs)
+
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_windows_wider_than_budget(self, monkeypatch, bounded):
+        # Every window exceeds the element budget, so each block is cut
+        # back to a single step.
+        monkeypatch.setattr(qvwh, "_ELEMENT_BUDGET", 2)
+        freqs = FIXED_DENSITIES["erp"][:600]
+        width = assert_same_growth(freqs, 0, len(freqs), 2_000.0, 2.0, bounded)
+        assert width > qvwh._SCALAR_STEPS + 2
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            qvwh._SCALAR_STEPS,  # last step run one at a time
+            qvwh._SCALAR_STEPS + 1,  # first step of the first block
+            qvwh._SCALAR_STEPS + qvwh._FIRST_BLOCK,  # last of the first block
+            qvwh._SCALAR_STEPS + qvwh._FIRST_BLOCK + 1,  # first of the second
+            qvwh._SCALAR_STEPS + 3 * qvwh._FIRST_BLOCK,  # last of the second
+        ],
+    )
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_violation_at_block_edges(self, step, bounded):
+        # A plateau is acceptable at every width; the spike at position
+        # ``step - 1`` makes growth step ``step`` the first violation.
+        freqs = [10] * (step - 1) + [100_000] + [10] * 50
+        width = assert_same_growth(freqs, 0, len(freqs), 1.0, 2.0, bounded)
+        assert width == step - 1
+
+    def test_repair_span_growth_matches_sliced_build(self):
+        # grow_span_buckets over [lo, hi) of the full density equals a
+        # build over the sliced sub-density, shifted by lo.
+        freqs = FIXED_DENSITIES["zipf"][:3_000]
+        lo, hi = 700, 2_300
+        density = AttributeDensity(freqs)
+        span = qvwh.grow_span_buckets(density, lo, hi, 64.0, 2.0)
+        sliced = build_histogram(
+            AttributeDensity(freqs[lo:hi]),
+            kind="V8DincB",
+            config=HistogramConfig(theta=64.0, q=2.0),
+        )
+        assert [b.lo - lo for b in span] == [b.lo for b in sliced.buckets]
+        assert [b.payload for b in span] == [b.payload for b in sliced.buckets]
