@@ -11,12 +11,12 @@ Expected shapes (paper Sec. 8.4):
   than the variable-width incremental build;
 * for long-running columns the incremental V8D catches up / wins.
 
-``test_construction_oracle_speedup`` adds the acceptance-oracle floor:
-on a heavy-tailed zipf column every dictionary variant built with the
-default ``search="oracle"`` path must be bit-identical to the classic
-search and -- armed via ``REPRO_BENCH_ASSERT_CONSTRUCTION=1``, the
-``make smoke`` setting -- at least 3x faster end to end (index build
-included).  ``test_table_build_pool`` reports (no floor) a whole ERP
+``test_construction_oracle_speedup`` adds the production-search floor:
+on a heavy-tailed zipf column every dictionary variant's production
+build must be bit-identical to its classic reference build (the paper's
+searches substituted in, :mod:`tests.reference`) and -- armed via
+``REPRO_BENCH_ASSERT_CONSTRUCTION=1``, the ``make smoke`` setting -- at
+least 3x faster end to end (index build included).  ``test_table_build_pool`` reports (no floor) a whole ERP
 table built serially and on the persistent process build pool, with
 bit-identical output asserted.  ``BENCH_construction.json`` records the
 timings and the machine (cores, python, numpy) so the perf trajectory
@@ -26,7 +26,6 @@ stays diffable across PRs.
 import os
 import platform
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +39,7 @@ from repro.core.serialize import serialize_histogram
 from repro.experiments.harness import build_record, rank_series
 from repro.experiments.report import format_table, summarize_series
 from repro.workloads.erp import make_erp_dataset
+from tests.reference import build_reference
 
 KINDS = ("1Dinc", "1DincB", "F8Dgt", "V8Dinc", "V8DincB")
 
@@ -119,19 +119,19 @@ def _normalized_buckets(histogram):
 
 
 def test_construction_oracle_speedup(emit, emit_json):
-    """Oracle search vs classic search: bit-identical, >= 3x end to end."""
+    """Production search vs classic reference search: bit-identical,
+    >= 3x end to end."""
     rng = np.random.default_rng(7)
     freqs = np.maximum(rng.zipf(1.3, size=ZIPF_CODES) % ZIPF_MOD, 1)
-    oracle_config = HistogramConfig(theta=64.0, q=2.0)
-    classic_config = replace(oracle_config, search="classic")
+    config = HistogramConfig(theta=64.0, q=2.0)
 
     rows = []
     payload = {}
     speedups = {}
     for kind in KINDS:
         t0 = time.perf_counter()
-        classic = build_histogram(
-            AttributeDensity(freqs.copy()), kind=kind, config=classic_config
+        classic = build_reference(
+            AttributeDensity(freqs.copy()), kind=kind, config=config
         )
         t1 = time.perf_counter()
         # Fresh density per attempt: the oracle side always pays its
@@ -141,7 +141,7 @@ def test_construction_oracle_speedup(emit, emit_json):
         for _ in range(2):
             t2 = time.perf_counter()
             oracle = build_histogram(
-                AttributeDensity(freqs.copy()), kind=kind, config=oracle_config
+                AttributeDensity(freqs.copy()), kind=kind, config=config
             )
             oracle_ms = min(oracle_ms, (time.perf_counter() - t2) * 1e3)
         assert _normalized_buckets(oracle) == _normalized_buckets(classic), (

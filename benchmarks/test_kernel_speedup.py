@@ -3,7 +3,9 @@
 Times the Sec. 4.2 sub-quadratic acceptance test on one 50k-distinct
 density -- the batch kernel of :mod:`repro.core.kernels` against the
 per-left-endpoint scalar loop and the paper-literal rendering -- and the
-end-to-end effect on ``build_qewh``.
+end-to-end effect on ``build_qewh``: the production build against
+Fig. 5's ``find_largest`` probing one bucklet at a time through the
+scalar loop (:func:`_scalar_probe`, local to this benchmark).
 
 Expected shape: the vectorized kernel decides the same boolean at least
 5x faster (in practice orders of magnitude: one ``searchsorted`` pass
@@ -15,10 +17,13 @@ heavy-tailed zipf density whose tiny buckets are pure dispatch overhead
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 
+from repro.core import qewh
 from repro.core.acceptance import (
+    pretest_dense,
     subquadratic_test,
     subquadratic_test_literal,
     subquadratic_test_vectorized,
@@ -27,6 +32,8 @@ from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
 from repro.core.qewh import build_qewh
 from repro.experiments.report import format_table
+from repro.obs import NULL_TRACE
+from tests.reference import reference_searches
 
 N_DISTINCT = 50_000
 
@@ -38,6 +45,50 @@ def _best_of(fn, repeats):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _scalar_probe(
+    density, l, m, theta, q, config, n_bucklets=8,
+    max_bucklet_total=float("inf"), cache=None, trace=NULL_TRACE,
+):
+    """``find_largest``'s probe with one combined test per bucklet: the
+    dense pretest, the MaxSize cut, then the per-endpoint scalar loop,
+    each decision memoized in the build's cache."""
+    d = density.n_distinct
+    bucklets = []
+    for i in range(n_bucklets):
+        lo = l + i * m
+        if lo >= d:
+            break
+        clipped = min(lo + m, d)
+        total = density.f_plus(lo, clipped)
+        if total > max_bucklet_total:
+            return False
+        bucklets.append((lo, clipped, total / m))
+    max_size = config.max_pretest_size
+    for lo, clipped, alpha in bucklets:
+        key = cache.decision_key(
+            lo, clipped, theta, q, alpha,
+            k=8.0, max_size=max_size, flexible_alpha=False,
+        )
+        decision = cache.lookup_decision(key)
+        if decision is None:
+            decision = pretest_dense(density, lo, clipped, theta, q, alpha=alpha) or (
+                clipped - lo <= max_size
+                and subquadratic_test(density, lo, clipped, theta, q, alpha=alpha)
+            )
+            cache.store_decision(key, decision)
+        if not decision:
+            return False
+    return True
+
+
+def _build_qewh_scalar(density, config):
+    """``build_qewh`` searching with ``find_largest`` over :func:`_scalar_probe`."""
+    with reference_searches(), mock.patch.object(
+        qewh, "_bucklets_acceptable", _scalar_probe
+    ):
+        return build_qewh(density, config)
 
 
 def test_kernel_speedup(emit, benchmark):
@@ -72,7 +123,7 @@ def test_kernel_speedup(emit, benchmark):
         + format_table(["kernel", "ms", "x slower than vectorized"], rows)
     )
 
-    # End-to-end: the same construction with the kernel flag flipped, in
+    # End-to-end: the production build against the scalar-probe build, in
     # two regimes.  "wide": near-uniform frequencies with a large theta
     # give ~300-value bucklets where the pretest fails but acceptance
     # holds, so FindLargest spends its time inside the O(m^2) stage --
@@ -83,22 +134,15 @@ def test_kernel_speedup(emit, benchmark):
     zipf = AttributeDensity(np.maximum(rng.zipf(1.3, size=N_DISTINCT) % 10_000, 1))
     end_to_end = []
     for label, dens, theta_b in [("wide", wide, 1000), ("zipf", zipf, 64)]:
-        t_b_vec, h_v = _best_of(
-            lambda: build_qewh(
-                dens, HistogramConfig(q=q, theta=theta_b, kernel="vectorized")
-            ),
-            repeats=2,
-        )
+        config = HistogramConfig(q=q, theta=theta_b)
+        t_b_vec, h_v = _best_of(lambda: build_qewh(dens, config), repeats=2)
         t_b_lit, h_l = _best_of(
-            lambda: build_qewh(
-                dens, HistogramConfig(q=q, theta=theta_b, kernel="literal")
-            ),
-            repeats=1,
+            lambda: _build_qewh_scalar(dens, config), repeats=1
         )
         assert len(h_v) == len(h_l)
         end_to_end.append((label, len(h_v), t_b_vec, t_b_lit))
     text += f"\n\nbuild_qewh end-to-end, {N_DISTINCT}-distinct densities:\n" + format_table(
-        ["density", "buckets", "vectorized ms", "literal ms", "speedup"],
+        ["density", "buckets", "production ms", "scalar-probe ms", "speedup"],
         [
             [label, str(n), f"{tv * 1e3:.1f}", f"{tl * 1e3:.1f}", f"{tl / tv:.2f}x"]
             for label, n, tv, tl in end_to_end

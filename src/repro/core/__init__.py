@@ -12,12 +12,17 @@ Public surface:
   model and the queryable histogram object.
 * :mod:`repro.core.qewh` / :mod:`repro.core.qvwh` /
   :mod:`repro.core.valuebased` -- the construction algorithms (the atomic
-  1D builders share qvwh's incremental engine).
+  1D builders share qvwh's incremental engine).  Each variant has one
+  production search; the paper-literal searches
+  (:func:`~repro.core.qewh.find_largest`,
+  :func:`~repro.core.qvwh.grow_bucklet_stepwise`,
+  :func:`~repro.core.valuebased.grow_value_bucket_stepwise`) stay as
+  references the parity suite holds it to.
 * :mod:`repro.core.builder` -- one-call build API with the system θ policy.
 * :mod:`repro.core.kernels` -- vectorized acceptance-test kernels and the
   per-build :class:`~repro.core.kernels.AcceptanceCache`.
 * :mod:`repro.core.compiled` -- frozen numpy estimation plans serving
-  the read path (with :mod:`repro.core.batch` as a legacy view).
+  the read path (:class:`~repro.core.compiled.CompiledHistogram`).
 * :mod:`repro.core.parallel` -- parallel multi-column construction with
   catalog bulk-loading.
 * Extensions: :mod:`repro.core.mixed` (heterogeneous buckets),
@@ -36,8 +41,7 @@ from repro.core.builder import build_histogram, system_theta
 from repro.core.serialize import deserialize_histogram, serialize_histogram
 from repro.core.statistics import ColumnStatistics, StatisticsManager
 from repro.core.advisor import StatisticsAdvisor
-from repro.core.batch import CompiledHistogram, compile_histogram
-from repro.core.compiled import COMPILE_COUNTERS, CompileError
+from repro.core.compiled import COMPILE_COUNTERS, CompiledHistogram, CompileError
 from repro.core.catalog import StatisticsCatalog
 from repro.core.flexalpha import build_flexible_alpha
 from repro.core.kernels import AcceptanceCache
@@ -52,7 +56,6 @@ __all__ = [
     "build_table_histograms",
     "StatisticsAdvisor",
     "CompiledHistogram",
-    "compile_histogram",
     "COMPILE_COUNTERS",
     "CompileError",
     "StatisticsCatalog",

@@ -15,11 +15,13 @@ estimator of that range (or an explicit α).  The ladder of tests:
   (pretest, then MaxSize cut-off, then sub-quadratic), the building block
   of the generate-and-test construction.
 
-The combined test dispatches its sub-quadratic stage through a named
-kernel (``"vectorized"`` -- the batch implementation in
-:mod:`repro.core.kernels` -- or ``"literal"``, the per-endpoint loop
-below, kept as the correctness oracle) and can memoize decisions in an
-:class:`~repro.core.kernels.AcceptanceCache`.
+The combined test always runs its sub-quadratic stage through the batch
+kernel :func:`~repro.core.kernels.subquadratic_test_vectorized` and can
+memoize decisions in an :class:`~repro.core.kernels.AcceptanceCache`.
+:func:`subquadratic_test` (the per-endpoint numpy loop) and
+:func:`subquadratic_test_literal` (the paper's prose, step by step) are
+reference renderings with no production caller; the kernel and property
+suites hold the batch kernel to them.
 """
 
 from __future__ import annotations
@@ -171,15 +173,6 @@ def subquadratic_test(
     return True
 
 
-# The kernel registry: "vectorized" is the batch implementation of
-# repro.core.kernels; "literal" is the per-endpoint loop above, kept as
-# the executable rendering of the paper's Sec. 4.2 prose.
-_SUBQUADRATIC_KERNELS = {
-    "vectorized": subquadratic_test_vectorized,
-    "literal": subquadratic_test,
-}
-
-
 def is_theta_q_acceptable(
     density: AttributeDensity,
     l: int,
@@ -190,7 +183,6 @@ def is_theta_q_acceptable(
     k: float = 8.0,
     flexible_alpha: bool = False,
     alpha: Optional[float] = None,
-    kernel: str = "vectorized",
     cache: Optional[AcceptanceCache] = None,
 ) -> bool:
     """The combined test of Sec. 4.4 (``isThetaQAcc``).
@@ -200,7 +192,7 @@ def is_theta_q_acceptable(
        (the sub-quadratic test would be too expensive; the paper's
        MaxSize is 300).
     3. Otherwise decide by the sub-quadratic test, run through the
-       selected ``kernel``.
+       batch kernel.
 
     ``alpha`` overrides the f̂avg slope; the generate-and-test builder
     uses this for a domain-clamped trailing bucklet whose estimation
@@ -208,10 +200,6 @@ def is_theta_q_acceptable(
     memoizes decisions per (range, θ, q, α-bucket), so doubling/binary
     search probes that revisit a range answer in O(1).
     """
-    if kernel not in _SUBQUADRATIC_KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; pick from {sorted(_SUBQUADRATIC_KERNELS)}"
-        )
     key = None
     if cache is not None:
         key = cache.decision_key(
@@ -222,7 +210,7 @@ def is_theta_q_acceptable(
         if cached is not None:
             return cached
     decision = _is_theta_q_acceptable_uncached(
-        density, l, u, theta, q, max_size, k, flexible_alpha, alpha, kernel
+        density, l, u, theta, q, max_size, k, flexible_alpha, alpha
     )
     if cache is not None:
         cache.store_decision(key, decision)
@@ -239,13 +227,12 @@ def _is_theta_q_acceptable_uncached(
     k: float,
     flexible_alpha: bool,
     alpha: Optional[float],
-    kernel: str,
 ) -> bool:
     if pretest_dense(density, l, u, theta, q, flexible_alpha=flexible_alpha, alpha=alpha):
         return True
     if (u - l) > max_size:
         return False
-    return _SUBQUADRATIC_KERNELS[kernel](density, l, u, theta, q, k=k, alpha=alpha)
+    return subquadratic_test_vectorized(density, l, u, theta, q, k=k, alpha=alpha)
 
 
 def subquadratic_test_literal(

@@ -604,8 +604,8 @@ class CompiledHistogram:
 
     def fine_segments(self) -> Tuple[np.ndarray, np.ndarray]:
         """(edges, left-continuous global cumulative mass) of the fine
-        range function -- the piecewise-linear view legacy consumers
-        (:mod:`repro.core.batch`, the join estimator) interpolate."""
+        range function -- the piecewise-linear view the join estimator
+        (:mod:`repro.optimizer.join`) integrates."""
         return self._range.seg_x, self._fine_global_left
 
     # -- fine cumulative function -----------------------------------------

@@ -1,4 +1,13 @@
-"""Configuration for histogram construction."""
+"""Configuration for histogram construction.
+
+The fields are the paper's construction parameters only: each variant
+has exactly one production search, so there is no knob selecting a
+search or a kernel.  The paper-literal searches are kept as reference
+functions that tests substitute for the production ones
+(:func:`repro.core.qewh.find_largest`,
+:func:`repro.core.qvwh.grow_bucklet_stepwise`,
+:func:`repro.core.valuebased.grow_value_bucket_stepwise`).
+"""
 
 from __future__ import annotations
 
@@ -41,19 +50,6 @@ class HistogramConfig:
         For value-based histograms: additionally require θ,q-acceptable
         *distinct-count* estimates (the 1VincB1 variant; 1VincB2 turns
         this off).
-    kernel:
-        Acceptance-test kernel: ``"vectorized"`` (the batch kernels of
-        :mod:`repro.core.kernels`, the default) or ``"literal"`` (the
-        per-endpoint Sec. 4.2 loop, kept as the correctness oracle).
-    search:
-        Outer bucket-search strategy.  ``"oracle"`` (default) drives the
-        doubling/binary search through the O(1) sparse-table acceptance
-        oracle (:mod:`repro.core.search`) with warm-started speculative
-        probe batching; ``"classic"`` keeps the original one-dispatch-
-        per-probe loop.  Both produce bit-identical histograms — the
-        oracle only changes *how fast* decisions are reached, never what
-        they are.  The oracle path requires the vectorized kernel and a
-        dense domain; other combinations silently fall back to classic.
     """
 
     q: float = 2.0
@@ -63,8 +59,6 @@ class HistogramConfig:
     use_history: bool = True
     max_pretest_size: int = 300
     test_distinct: bool = True
-    kernel: str = "vectorized"
-    search: str = "oracle"
 
     def __post_init__(self) -> None:
         if self.q < 1:
@@ -75,19 +69,6 @@ class HistogramConfig:
             raise ValueError("theta_factor must be positive")
         if self.max_pretest_size < 1:
             raise ValueError("max_pretest_size must be >= 1")
-        if self.kernel not in ("vectorized", "literal"):
-            raise ValueError(
-                f"kernel must be 'vectorized' or 'literal', got {self.kernel!r}"
-            )
-        if self.search not in ("oracle", "classic"):
-            raise ValueError(
-                f"search must be 'oracle' or 'classic', got {self.search!r}"
-            )
-
-    @property
-    def oracle_search(self) -> bool:
-        """True when the O(1) acceptance-oracle search path applies."""
-        return self.search == "oracle" and self.kernel == "vectorized"
 
     def resolve_theta(self, total_rows: int) -> float:
         """The θ to use for a column with ``total_rows`` rows."""

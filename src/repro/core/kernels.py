@@ -22,17 +22,18 @@ holds the batch implementations that make those tests cheap:
   (value-space) construction; :func:`interval_slope_bounds` is their
   per-interval form, which the chunked QVWH growth reduces per step.
 * :class:`AcceptanceCache` -- a per-build memo for acceptance decisions
-  and slope constraints, so ``FindLargest`` doubling/binary search and
-  the classic QVWH and value-based α-bound loops never recompute an
-  identical range.
+  and slope constraints, so the F8Dgt searches and the value-based
+  α-bound loop never recompute an identical range (the step-at-a-time
+  reference ``GrowBucklet`` memoizes its constraint windows here too).
 
 Decision equivalence: the vectorized kernel reproduces the scalar
 kernels' comparisons on the *same float64 values* (estimates are taken
 from one shared ``alpha * width`` array, truths from the same int64
 prefix sums), so its accept/reject decisions are bit-for-bit identical
 to :func:`repro.core.acceptance.subquadratic_test` and
-:func:`repro.core.acceptance.subquadratic_test_literal`; the property
-suite asserts this on random densities.
+:func:`repro.core.acceptance.subquadratic_test_literal`, the reference
+renderings the property suite holds it to on random densities.  The
+batch kernel is the only one construction runs.
 """
 
 from __future__ import annotations
@@ -56,14 +57,9 @@ __all__ = [
     "value_slope_constraints_scalar",
     "count_slope_constraints_scalar",
     "AcceptanceCache",
-    "KERNEL_NAMES",
     "PAIR_CHUNK",
     "MATRIX_STRATEGY_MAX",
 ]
-
-# Valid values for HistogramConfig.kernel; "literal" is the Sec. 4.2
-# prose rendering kept as the correctness oracle.
-KERNEL_NAMES = ("vectorized", "literal")
 
 # Upper bound on materialised (i, j) pairs per evaluation chunk; windows
 # beyond this are processed in slices to bound peak memory.
@@ -551,7 +547,7 @@ def count_slope_constraints_scalar(
     distinct counts ``j - i`` over value-space widths ``w_j - x_i``.
 
     Bit-identical to :func:`batch_slope_constraints` over the
-    ``arange``/width arrays the classic value-based loop builds.
+    ``arange``/width arrays the stepwise value-based loop builds.
     """
     lb = 0.0
     ub = math.inf

@@ -7,6 +7,14 @@ such that all eight bucklets of width ``m`` are individually
 using the combined acceptance test of Sec. 4.4).  Each bucket is encoded
 as a 64-bit QC16T8x6 word.  This is the ``F8Dgt`` variant of the
 evaluation.
+
+:func:`build_qewh` always searches with
+:func:`repro.core.search.find_largest_oracle`.  :func:`find_largest`
+-- Fig. 5's loop over the batched per-probe test
+:func:`_bucklets_acceptable` and its :class:`AcceptanceCache` -- is the
+reference it is held to: it has no production caller, and the parity
+suite builds whole reference histograms by substituting it for the
+oracle search.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from repro.core.kernels import (
     acceptance_matrix_batch,
     pretest_dense_batch,
 )
+from repro.core.search import AcceptanceOracle, find_largest_oracle
 from repro.obs import NULL_TRACE
 
 __all__ = ["find_largest", "build_qewh"]
@@ -53,9 +62,9 @@ def _bucklets_acceptable(
 
     Bucklets clipped by the domain end are tested with the slope the
     estimator will actually use (bucklet total over the *unclipped*
-    width ``m``).  With the vectorized kernel the whole probe costs two
-    batch dispatches: one shared pretest, then one stacked acceptance
-    grid over whatever the pretest (and the ``cache``) cannot resolve.
+    width ``m``).  The whole probe costs two batch dispatches: one
+    shared pretest, then one stacked acceptance grid over whatever the
+    pretest (and the ``cache``) cannot resolve.
     """
     d = density.n_distinct
     lowers = []
@@ -76,21 +85,6 @@ def _bucklets_acceptable(
         alphas.append(total / m)
         totals.append(total)
     trace.count("acceptance_tests", len(lowers))
-    if config.kernel != "vectorized":
-        return all(
-            is_theta_q_acceptable(
-                density,
-                lo,
-                clipped,
-                theta,
-                q,
-                max_size=config.max_pretest_size,
-                alpha=alpha,
-                kernel=config.kernel,
-                cache=cache,
-            )
-            for lo, clipped, alpha in zip(lowers, uppers, alphas)
-        )
     # For probes whose stacked acceptance grid is tiny, running the
     # pretest first costs more dispatches than it can save -- and for
     # sizes within MaxSize the matrix decides identically (a certified
@@ -141,8 +135,7 @@ def _bucklets_acceptable(
         return all(
             is_theta_q_acceptable(
                 density, lo, clipped, theta, q,
-                max_size=config.max_pretest_size, alpha=alpha,
-                kernel=config.kernel, cache=cache,
+                max_size=config.max_pretest_size, alpha=alpha, cache=cache,
             )
             for lo, clipped, alpha in pending
         )
@@ -239,12 +232,12 @@ def build_qewh(
     simple layout of Table 3 works, e.g. QC16x4 for sixteen narrower
     bucklets or BQC8x8 for binary-q payloads.  ``trace`` (a
     :class:`repro.obs.Trace`) accumulates acceptance-test/packing phase
-    timings and counters; ``None`` disables instrumentation.  With
-    ``config.search == "oracle"`` the outer search runs through the O(1)
-    sparse-table acceptance oracle (:mod:`repro.core.search`) — same
-    boundaries and certificates, far fewer kernel dispatches.  ``cache``
-    lets callers (the engine pipeline, ``repair_histogram``) share one
-    :class:`AcceptanceCache` across builds over the same density.
+    timings and counters; ``None`` disables instrumentation.  The outer
+    search runs through the O(1) sparse-table acceptance oracle
+    (:mod:`repro.core.search`): the boundaries and certificates of
+    :func:`find_largest`, far fewer kernel dispatches.  ``cache`` lets
+    callers (the engine pipeline) share one :class:`AcceptanceCache`
+    across builds over the same density.
     """
     trace = trace if trace is not None else NULL_TRACE
     if not density.is_dense:
@@ -265,47 +258,24 @@ def build_qewh(
     if cache is None:
         cache = AcceptanceCache()
     packing = trace.timer("packing")
-    oracle = None
-    if config.oracle_search:
-        from repro.core.search import AcceptanceOracle, find_largest_oracle
-
-        oracle = AcceptanceOracle(density, theta, q, config, cache=cache)
+    oracle = AcceptanceOracle(density, theta, q, config, cache=cache)
+    cum = oracle.cum
     b = 0
     warm = 0
     while b < d:
-        if oracle is not None:
-            m = find_largest_oracle(
-                density, b, theta, q, config,
-                n_bucklets=n, max_bucklet_total=capacity,
-                cache=cache, trace=trace, oracle=oracle, warm=warm,
-            )
-        else:
-            m = find_largest(
-                density,
-                b,
-                theta,
-                q,
-                config,
-                n_bucklets=n,
-                max_bucklet_total=capacity,
-                cache=cache,
-                trace=trace,
-            )
+        m = find_largest_oracle(
+            density, b, theta, q, config,
+            n_bucklets=n, max_bucklet_total=capacity,
+            cache=cache, trace=trace, oracle=oracle, warm=warm,
+        )
         warm = m
         with packing:
-            if oracle is not None:
-                # Same integers as f_plus, read off the Python-list
-                # prefix sums (no per-bucklet numpy round trips).
-                cum = oracle.cum
-                freqs = [
-                    cum[min(b + (i + 1) * m, d)] - cum[min(b + i * m, d)]
-                    for i in range(n)
-                ]
-            else:
-                freqs = [
-                    density.f_plus(min(b + i * m, d), min(b + (i + 1) * m, d))
-                    for i in range(n)
-                ]
+            # Bucklet totals read off the Python-list prefix sums (no
+            # per-bucklet numpy round trips).
+            freqs = [
+                cum[min(b + (i + 1) * m, d)] - cum[min(b + i * m, d)]
+                for i in range(n)
+            ]
             buckets.append(EquiWidthBucket.build(b, m, freqs, layout=layout))
         b += n * m
     trace.count("buckets", len(buckets))

@@ -19,17 +19,19 @@ Corollary 4.2 (computed from the most pessimistic -- smallest -- α seen
 so far, so the window dominates the bound for every α the bucket has
 taken); this is the ``incB`` family of the evaluation.
 
-With ``config.search == "oracle"`` (:func:`_grow_bucklet_oracle`) the
-first few growth steps -- where most bucklets end -- run one at a time
-over the column's Python-list prefix sums, and every later step is
-resolved a block at a time: one numpy pass computes a whole block's
-slopes, running ``alpha_min``, windows, the constraints of every
-interval the block's steps scan and the running ``[αLB, αUB]``, then
-picks the first violating step.  Both phases run the batch kernel's
+:func:`grow_bucklet` runs the first few growth steps -- where most
+bucklets end -- one at a time over the column's Python-list prefix sums,
+and resolves every later step a block at a time: one numpy pass computes
+a whole block's slopes, running ``alpha_min``, windows, the constraints
+of every interval the block's steps scan and the running ``[αLB, αUB]``,
+then picks the first violating step.  Both phases run the batch kernel's
 per-interval arithmetic and max/min are exact, so widths -- and the
 ``acceptance_tests``/``search_probes``/``intervals_scanned`` counters,
 which stop at the violating step -- equal the step-at-a-time loop's.
-``search == "classic"`` keeps that loop as the reference.
+That loop, Fig. 6 as written, is kept as
+:func:`grow_bucklet_stepwise`: a reference with no production caller,
+which the parity suite substitutes for :func:`grow_bucklet` to build
+whole reference histograms.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.obs import NULL_TRACE
 
 __all__ = [
     "grow_bucklet",
+    "grow_bucklet_stepwise",
     "build_qvwh",
     "build_atomic_dense",
     "grow_span_buckets",
@@ -63,7 +66,7 @@ __all__ = [
 # The 9-bit width fields cap seven of the eight bucklets at 511 values.
 MAX_BOUNDED_BUCKLET = 511
 
-# Chunked growth (the oracle path): the first _SCALAR_STEPS steps run
+# Chunked growth: the first _SCALAR_STEPS steps run
 # one at a time (they scan at most 1 + 2 + ... + _SCALAR_STEPS intervals);
 # then the first block resolves _FIRST_BLOCK steps, later blocks double up
 # to _MAX_BLOCK, and a block is cut back so its ragged interval array
@@ -90,82 +93,14 @@ def grow_bucklet(
     theta: float,
     q: float,
     bounded: bool = True,
-    stats: "GrowStats" = None,
-    cache: AcceptanceCache = None,
+    stats: Optional[GrowStats] = None,
     trace=NULL_TRACE,
-    use_oracle: bool = False,
 ) -> int:
     """Longest prefix ``[l, l + m)`` that stays θ,q-acceptable for f̂avg.
 
     Returns ``m`` with ``0 <= m <= m_max``; at least 1 whenever
     ``m_max >= 1`` (a single dense value always estimates itself
-    exactly).  On the classic path a shared ``cache`` memoizes the
-    per-(window, right endpoint) slope constraints, which recur when the
-    next bucklet's first extension re-scans the window of the previous
-    failure.  ``use_oracle`` selects the chunked path (bit-identical
-    growth, one numpy pass per block of steps; it needs no cache).
-    """
-    if m_max <= 0:
-        return 0
-    if not 0 <= l < density.n_distinct:
-        raise IndexError(f"start {l} out of range")
-    m_max = min(m_max, density.n_distinct - l)
-    if use_oracle:
-        return _grow_bucklet_oracle(density, l, m_max, theta, q, bounded, stats, trace)
-    cum = density.cumulative
-    base = int(cum[l])
-    acceptance = trace.timer("acceptance_tests")
-
-    alpha_lb = 0.0
-    alpha_ub = math.inf
-    alpha_min = math.inf
-    tests = 0
-    scanned = 0
-    try:
-        for m in range(1, m_max + 1):
-            j = l + m
-            total = float(cum[j] - base)
-            alpha = total / m
-            alpha_min = min(alpha_min, alpha)
-            if bounded:
-                # Corollary 4.2 window: minimal violations are narrower than
-                # 2 theta n / f+ + 3 = 2 theta / alpha + 3.  Using the
-                # smallest alpha the growing bucket has seen keeps the window
-                # valid for every slope the bucket has taken.
-                window = math.ceil(2.0 * theta / alpha_min) + 3
-                i_low = max(l, j - window)
-            else:
-                i_low = l
-            if stats is not None:
-                stats.intervals_scanned += j - i_low
-            tests += 1
-            scanned += j - i_low
-            with acceptance:
-                if cache is not None:
-                    lb_new, ub_new = cache.constraints(cum, i_low, j, theta, q)
-                else:
-                    lb_new, ub_new = slope_constraints(cum, i_low, j, theta, q)
-            alpha_lb = max(alpha_lb, lb_new)
-            alpha_ub = min(alpha_ub, ub_new)
-            if alpha < alpha_lb or alpha > alpha_ub:
-                return m - 1
-        return m_max
-    finally:
-        trace.count("acceptance_tests", tests)
-        trace.count("intervals_scanned", scanned)
-
-
-def _grow_bucklet_oracle(
-    density: AttributeDensity,
-    l: int,
-    m_max: int,
-    theta: float,
-    q: float,
-    bounded: bool,
-    stats: Optional[GrowStats],
-    trace,
-) -> int:
-    """The ``use_oracle`` body of :func:`grow_bucklet`.
+    exactly).  Bit-identical to :func:`grow_bucklet_stepwise`.
 
     The first :data:`_SCALAR_STEPS` steps run one at a time over the
     Python-list prefix sums (:func:`~repro.core.kernels.slope_constraints_scalar`):
@@ -185,6 +120,11 @@ def _grow_bucklet_oracle(
     the steps past a violation are discarded: counters only cover steps
     up to and including the violating one.
     """
+    if m_max <= 0:
+        return 0
+    if not 0 <= l < density.n_distinct:
+        raise IndexError(f"start {l} out of range")
+    m_max = min(m_max, density.n_distinct - l)
     cum = density.ensure_index().cum_list
     base = cum[l]
     alpha_lb = 0.0
@@ -271,6 +211,73 @@ def _grow_bucklet_oracle(
         trace.count("intervals_scanned", scanned)
 
 
+def grow_bucklet_stepwise(
+    density: AttributeDensity,
+    l: int,
+    m_max: int,
+    theta: float,
+    q: float,
+    bounded: bool = True,
+    stats: "GrowStats" = None,
+    cache: AcceptanceCache = None,
+    trace=NULL_TRACE,
+) -> int:
+    """Fig. 6's ``GrowBucklet`` one step at a time: the reference
+    :func:`grow_bucklet` is held to (same width, same counters apart
+    from ``search_probes``).
+
+    A ``cache`` memoizes the per-(window, right endpoint) slope
+    constraints, which recur when the next bucklet's first extension
+    re-scans the window of the previous failure.
+    """
+    if m_max <= 0:
+        return 0
+    if not 0 <= l < density.n_distinct:
+        raise IndexError(f"start {l} out of range")
+    m_max = min(m_max, density.n_distinct - l)
+    cum = density.cumulative
+    base = int(cum[l])
+    acceptance = trace.timer("acceptance_tests")
+
+    alpha_lb = 0.0
+    alpha_ub = math.inf
+    alpha_min = math.inf
+    tests = 0
+    scanned = 0
+    try:
+        for m in range(1, m_max + 1):
+            j = l + m
+            total = float(cum[j] - base)
+            alpha = total / m
+            alpha_min = min(alpha_min, alpha)
+            if bounded:
+                # Corollary 4.2 window: minimal violations are narrower than
+                # 2 theta n / f+ + 3 = 2 theta / alpha + 3.  Using the
+                # smallest alpha the growing bucket has seen keeps the window
+                # valid for every slope the bucket has taken.
+                window = math.ceil(2.0 * theta / alpha_min) + 3
+                i_low = max(l, j - window)
+            else:
+                i_low = l
+            if stats is not None:
+                stats.intervals_scanned += j - i_low
+            tests += 1
+            scanned += j - i_low
+            with acceptance:
+                if cache is not None:
+                    lb_new, ub_new = cache.constraints(cum, i_low, j, theta, q)
+                else:
+                    lb_new, ub_new = slope_constraints(cum, i_low, j, theta, q)
+            alpha_lb = max(alpha_lb, lb_new)
+            alpha_ub = min(alpha_ub, ub_new)
+            if alpha < alpha_lb or alpha > alpha_ub:
+                return m - 1
+        return m_max
+    finally:
+        trace.count("acceptance_tests", tests)
+        trace.count("intervals_scanned", scanned)
+
+
 def _grow_bucket(
     density: AttributeDensity,
     start: int,
@@ -278,10 +285,8 @@ def _grow_bucket(
     q: float,
     bounded: bool,
     stats: GrowStats = None,
-    cache: AcceptanceCache = None,
     trace=NULL_TRACE,
     stop: Optional[int] = None,
-    use_oracle: bool = False,
 ) -> Tuple[List[int], List[int], int]:
     """Grow one 8-bucklet bucket from ``start`` (Fig. 6's outer loop body).
 
@@ -296,8 +301,7 @@ def _grow_bucket(
     totals: List[int] = []
     pos = start
     m0 = grow_bucklet(
-        density, pos, d - pos, theta, q, bounded=bounded, stats=stats, cache=cache,
-        trace=trace, use_oracle=use_oracle,
+        density, pos, d - pos, theta, q, bounded=bounded, stats=stats, trace=trace
     )
     m0 = max(m0, 1)
     widths.append(m0)
@@ -315,8 +319,7 @@ def _grow_bucket(
         else:
             cap = min(MAX_BOUNDED_BUCKLET, d - pos)
         m = grow_bucklet(
-            density, pos, cap, theta, q, bounded=bounded, stats=stats, cache=cache,
-            trace=trace, use_oracle=use_oracle,
+            density, pos, cap, theta, q, bounded=bounded, stats=stats, trace=trace
         )
         m = max(m, 1) if cap >= 1 else 0
         widths.append(m)
@@ -330,16 +333,13 @@ def build_qvwh(
     config: HistogramConfig = HistogramConfig(),
     stats: GrowStats = None,
     trace=None,
-    cache: Optional[AcceptanceCache] = None,
 ) -> Histogram:
     """Fig. 6's ``BuildQVWH``: incremental variable-width construction.
 
     Produces 128-bit QC16T8x6+1F7x9 buckets; the evaluation's ``V8Dinc``
     (``bounded_search=False``) and ``V8DincB`` (``True``) variants.
     ``trace`` (a :class:`repro.obs.Trace`) accumulates per-phase timings
-    and counters; ``None`` disables instrumentation.  ``cache`` lets
-    callers share one :class:`AcceptanceCache` across builds over the
-    same density.
+    and counters; ``None`` disables instrumentation.
     """
     trace = trace if trace is not None else NULL_TRACE
     if not density.is_dense:
@@ -348,15 +348,11 @@ def build_qvwh(
     q = config.q
     d = density.n_distinct
     buckets: List[VariableWidthBucket] = []
-    if cache is None:
-        cache = AcceptanceCache() if config.kernel == "vectorized" else None
-    use_oracle = config.oracle_search
     packing = trace.timer("packing")
     b = 0
     while b < d:
         widths, totals, b = _grow_bucket(
-            density, b, theta, q, config.bounded_search, stats=stats, cache=cache,
-            trace=trace, use_oracle=use_oracle,
+            density, b, theta, q, config.bounded_search, stats=stats, trace=trace
         )
         with packing:
             buckets.append(VariableWidthBucket.build(b - sum(widths), widths, totals))
@@ -369,7 +365,6 @@ def build_atomic_dense(
     density: AttributeDensity,
     config: HistogramConfig = HistogramConfig(),
     trace=None,
-    cache: Optional[AcceptanceCache] = None,
 ) -> Histogram:
     """Atomic (bucklet-less) histograms: the ``1Dinc[B]`` variants.
 
@@ -383,15 +378,11 @@ def build_atomic_dense(
     q = config.q
     d = density.n_distinct
     buckets: List[AtomicDenseBucket] = []
-    if cache is None:
-        cache = AcceptanceCache() if config.kernel == "vectorized" else None
-    use_oracle = config.oracle_search
     packing = trace.timer("packing")
     b = 0
     while b < d:
         m = grow_bucklet(
-            density, b, d - b, theta, q, bounded=config.bounded_search, cache=cache,
-            trace=trace, use_oracle=use_oracle,
+            density, b, d - b, theta, q, bounded=config.bounded_search, trace=trace
         )
         m = max(m, 1)
         with packing:
@@ -414,9 +405,7 @@ def grow_span_buckets(
     theta: float,
     q: float,
     bounded: bool = True,
-    cache: Optional[AcceptanceCache] = None,
     trace=NULL_TRACE,
-    use_oracle: bool = True,
 ) -> List[VariableWidthBucket]:
     """Variable-width buckets covering ``[lo, hi)`` of the *full* density.
 
@@ -425,15 +414,14 @@ def grow_span_buckets(
     recurrence only reads cumulated-frequency differences inside the
     span, and the Corollary 4.2 window is clamped at the span start
     either way.  Running on the full density lets repair share the
-    column's index and :class:`AcceptanceCache` across attempts instead
-    of re-slicing and re-summing per damaged range.
+    column's prefix index across damaged ranges instead of re-slicing
+    and re-summing per range.
     """
     buckets: List[VariableWidthBucket] = []
     b = lo
     while b < hi:
         widths, totals, b = _grow_bucket(
-            density, b, theta, q, bounded, cache=cache, trace=trace,
-            stop=hi, use_oracle=use_oracle,
+            density, b, theta, q, bounded, trace=trace, stop=hi
         )
         buckets.append(VariableWidthBucket.build(b - sum(widths), widths, totals))
     return buckets
@@ -446,9 +434,7 @@ def grow_span_atomic(
     theta: float,
     q: float,
     bounded: bool = True,
-    cache: Optional[AcceptanceCache] = None,
     trace=NULL_TRACE,
-    use_oracle: bool = True,
 ) -> List[AtomicDenseBucket]:
     """Atomic buckets covering ``[lo, hi)`` of the *full* density
     (see :func:`grow_span_buckets`)."""
@@ -456,8 +442,7 @@ def grow_span_atomic(
     b = lo
     while b < hi:
         m = grow_bucklet(
-            density, b, hi - b, theta, q, bounded=bounded, cache=cache,
-            trace=trace, use_oracle=use_oracle,
+            density, b, hi - b, theta, q, bounded=bounded, trace=trace
         )
         m = max(m, 1)
         buckets.append(AtomicDenseBucket.build(b, b + m, density.f_plus(b, b + m)))

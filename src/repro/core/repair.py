@@ -18,10 +18,13 @@ PAPERS.md):
   :mod:`repro.core.kernels`.
 * :func:`repair_histogram` replaces each failing run of buckets by
   re-running the paper's bucket search on just that code range (a
-  *split*), consolidates adjacent churned buckets whose combined mass
-  fell under θ into one atomic bucket (a *merge* -- the delete
-  direction), and re-stamps the certificate by re-testing exactly the
-  replaced ranges.  Untouched buckets are carried over as the *same
+  *split*, grown in place over the full density by
+  :func:`~repro.core.qvwh.grow_span_buckets` /
+  :func:`~repro.core.qvwh.grow_span_atomic`, whose reference is the
+  step-at-a-time :func:`~repro.core.qvwh.grow_bucklet_stepwise`),
+  consolidates adjacent churned buckets whose combined mass fell under
+  θ into one atomic bucket (a *merge* -- the delete direction), and
+  re-stamps the certificate by re-testing exactly the replaced ranges.  Untouched buckets are carried over as the *same
   objects*, so their payloads -- and any estimate answered from them --
   are byte-identical before and after the repair.
 
@@ -51,11 +54,11 @@ from repro.core.flexalpha import FlexAlphaBucket
 from repro.core.histogram import Histogram
 from repro.core.kernels import (
     MATRIX_STRATEGY_MAX,
-    AcceptanceCache,
     acceptance_matrix_batch,
     pretest_dense_batch,
     subquadratic_test_vectorized,
 )
+from repro.core.qvwh import grow_span_atomic, grow_span_buckets
 
 __all__ = [
     "DEFAULT_COMPRESSION_SLACK",
@@ -289,34 +292,6 @@ def buckets_acceptable(
 # -- bucket surgery --------------------------------------------------------
 
 
-def _shift_bucket(bucket, offset: int):
-    """The same payload re-anchored ``offset`` codes to the right."""
-    if offset == 0:
-        return bucket
-    if isinstance(bucket, EquiWidthBucket):
-        return EquiWidthBucket(
-            bucket.lo + offset, bucket.bucklet_width, bucket.payload,
-            layout=bucket.layout,
-        )
-    if isinstance(bucket, VariableWidthBucket):
-        return VariableWidthBucket(
-            bucket.lo + offset, bucket.hi + offset, bucket.payload
-        )
-    if isinstance(bucket, AtomicDenseBucket):
-        return AtomicDenseBucket(
-            bucket.lo + offset, bucket.hi + offset, bucket.total_code
-        )
-    if isinstance(bucket, FlexAlphaBucket):
-        return FlexAlphaBucket(
-            bucket.lo + offset, bucket.hi + offset, bucket.alpha_code
-        )
-    if isinstance(bucket, RawDenseBucket):
-        return RawDenseBucket(bucket.lo + offset, bucket.payload)
-    raise RepairError(
-        f"cannot re-anchor bucket type {type(bucket).__name__}"
-    )
-
-
 def _consecutive_runs(indices: Iterable[int]) -> List[Tuple[int, int]]:
     """Maximal runs of consecutive integers as inclusive (first, last)."""
     runs: List[Tuple[int, int]] = []
@@ -369,24 +344,20 @@ def _merge_runs(
 
 def _build_replacement(
     histogram: Histogram,
-    clamped: np.ndarray,
+    density: AttributeDensity,
     lo: int,
     hi: int,
     config: HistogramConfig,
-    density: Optional[AttributeDensity] = None,
-    cache: Optional[AcceptanceCache] = None,
 ) -> List:
     """Re-run the paper's bucket search on just ``[lo, hi)``.
 
-    With the oracle search enabled the span builders grow the
-    replacement *in place* over the full ``density`` -- sharing its
-    prefix index and the repair-wide ``cache`` across every damaged
-    range -- instead of slicing a sub-density per range.  Both paths
-    produce identical buckets (the growth recurrence only reads
-    cumulated-frequency differences inside the span).
+    The span builders grow the replacement *in place* over the full
+    ``density``, sharing its prefix index across every damaged range
+    instead of slicing a sub-density per range; the growth recurrence
+    only reads cumulated-frequency differences inside the span, so the
+    buckets equal a build over the slice, shifted by ``lo``.
     """
-    n = clamped.size
-    hi_eff = min(hi, n)
+    hi_eff = min(hi, density.n_distinct)
     if hi_eff <= lo:
         raise RepairError(f"repair range [{lo}, {hi}) lies outside the domain")
     kind = (
@@ -394,28 +365,16 @@ def _build_replacement(
         if histogram.kind in _EXACT_COVER_KINDS
         else _DEFAULT_SUB_KIND
     )
-    if config.oracle_search and density is not None:
-        from repro.core.qvwh import grow_span_atomic, grow_span_buckets
-
-        theta = config.resolve_theta(density.f_plus(lo, hi_eff))
-        bounded = kind in ("V8DincB", "1DincB")
-        if kind in ("1Dinc", "1DincB"):
-            fresh = grow_span_atomic(
-                density, lo, hi_eff, theta, config.q,
-                bounded=bounded, cache=cache,
-            )
-        else:
-            fresh = grow_span_buckets(
-                density, lo, hi_eff, theta, config.q,
-                bounded=bounded, cache=cache,
-            )
-    else:
-        from repro.core.builder import build_histogram
-
-        sub = build_histogram(
-            AttributeDensity(clamped[lo:hi_eff]), kind=kind, config=config
+    theta = config.resolve_theta(density.f_plus(lo, hi_eff))
+    bounded = kind in ("V8DincB", "1DincB")
+    if kind in ("1Dinc", "1DincB"):
+        fresh = grow_span_atomic(
+            density, lo, hi_eff, theta, config.q, bounded=bounded
         )
-        fresh = [_shift_bucket(bucket, lo) for bucket in sub.buckets]
+    else:
+        fresh = grow_span_buckets(
+            density, lo, hi_eff, theta, config.q, bounded=bounded
+        )
     if int(fresh[0].lo) != lo:
         raise RepairError(
             f"replacement for [{lo}, {hi}) starts at {fresh[0].lo}"
@@ -483,16 +442,7 @@ def repair_histogram(
         )
     base_config = config if config is not None else HistogramConfig()
     sub_config = replace(base_config, theta=histogram.theta, q=histogram.q)
-    clamped = np.maximum(frequencies, 1)
-    density = AttributeDensity(clamped)
-    # One prefix index and one acceptance cache serve every damaged
-    # range (and the final re-stamp), so repeated repair attempts over
-    # the same truth pay the column-level costs once.
-    repair_cache: Optional[AcceptanceCache] = None
-    if sub_config.oracle_search:
-        density.ensure_index()
-    if sub_config.kernel == "vectorized":
-        repair_cache = AcceptanceCache()
+    density = AttributeDensity(np.maximum(frequencies, 1))
     buckets = histogram.buckets
     for index in failing:
         if not 0 <= int(index) < len(buckets):
@@ -533,20 +483,14 @@ def repair_histogram(
                 # Binary-q rounding pushed the stored total past θ; a
                 # localized search keeps the certificate honest instead.
                 new_buckets.extend(
-                    _build_replacement(
-                        histogram, clamped, lo, hi, sub_config,
-                        density=density, cache=repair_cache,
-                    )
+                    _build_replacement(histogram, density, lo, hi, sub_config)
                 )
             else:
                 new_buckets.append(merged)
             merges += 1
         else:
             new_buckets.extend(
-                _build_replacement(
-                    histogram, clamped, lo, hi, sub_config,
-                    density=density, cache=repair_cache,
-                )
+                _build_replacement(histogram, density, lo, hi, sub_config)
             )
             splits += 1
         ranges.append(

@@ -2,9 +2,10 @@
 
 The generate-and-test construction (``FindLargest``, Fig. 5) spends its
 life asking one question: *are all eight width-``m`` bucklets starting at
-``l`` θ,q-acceptable?*  The classic path answers each probe with a fresh
-kernel dispatch.  This module answers most probes without touching a
-kernel at all:
+``l`` θ,q-acceptable?*  The reference search,
+:func:`repro.core.qewh.find_largest`, answers each probe with a fresh
+batch of kernel dispatches.  This module -- the production F8Dgt
+search -- answers most probes without touching a kernel at all:
 
 * :class:`AcceptanceOracle` resolves a single bucklet in O(1) from the
   column's :class:`~repro.core.density.DensityIndex` (prefix sums +
@@ -23,7 +24,7 @@ kernel at all:
     :class:`~repro.core.kernels.AcceptanceCache`.
 
 * :func:`find_largest_oracle` re-implements the doubling + binary
-  search with the *same canonical probe schedule* as the classic
+  search with the *same canonical probe schedule* as the reference
   :func:`repro.core.qewh.find_largest` — the doubling ladder
   ``min(2m, m_cap)`` and midpoints ``(good + bad) // 2`` — but evaluates
   the ladder in warm-started speculative chunks (bucket widths are
@@ -34,9 +35,11 @@ kernel at all:
 Because each probe's decision is a pure function of its width — the
 oracle reproduces the combined test ``pretest ∨ (size <= MaxSize ∧
 grid)`` decision bit-for-bit, and the ladder/bisection arithmetic is
-unchanged — the search returns *exactly* the width the classic search
+unchanged — the search returns *exactly* the width the reference search
 returns, for every bucket, on every density.  The parity suite in
-``tests/core/test_search.py`` enforces this.
+``tests/core/test_search.py`` enforces this by building whole reference
+histograms with :func:`~repro.core.qewh.find_largest` substituted for
+:func:`find_largest_oracle`.
 
 Counters (flushed into the build trace, and from there into CLI
 ``--profile`` and the service's Prometheus export):
@@ -118,7 +121,7 @@ class AcceptanceOracle:
 
         Mirrors ``pretest ∨ (size <= MaxSize ∧ grid)`` on the same
         float64 values the batch kernels see, so a non-``None`` answer
-        is bit-identical to the classic path.
+        is bit-identical to the reference search's.
         """
         theta = self.theta
         q = self.q
@@ -186,7 +189,7 @@ class AcceptanceOracle:
                 self.certified += 1
                 continue
             # The estimation slope runs over the *unclipped* width, as in
-            # the classic search (domain-clamped trailing bucklets).
+            # the reference search (domain-clamped trailing bucklets).
             alpha = total_int / m
             fmax = float(index.range_max(lo, clipped))
             fmin = float(index.range_min(lo, clipped))
@@ -301,7 +304,8 @@ def find_largest_oracle(
     oracle: Optional[AcceptanceOracle] = None,
     warm: int = 0,
 ) -> int:
-    """Oracle-driven ``FindLargest``: bit-identical to the classic search.
+    """Oracle-driven ``FindLargest``: bit-identical to the reference
+    :func:`repro.core.qewh.find_largest`.
 
     The canonical probe schedule — the doubling ladder
     ``m <- min(2m, m_cap)`` followed by ``(good + bad) // 2``

@@ -43,7 +43,12 @@ from repro.core.kernels import (
 )
 from repro.obs import NULL_TRACE
 
-__all__ = ["grow_value_bucket", "build_value_histogram", "build_value_mixed"]
+__all__ = [
+    "grow_value_bucket",
+    "grow_value_bucket_stepwise",
+    "build_value_histogram",
+    "build_value_mixed",
+]
 
 # Corollary 4.2 windows at or below this many intervals run the scalar
 # constraint mirrors; wider windows keep the batch kernel (identical
@@ -90,7 +95,6 @@ def grow_value_bucket(
     test_distinct: bool = True,
     trace=NULL_TRACE,
     cache: Optional[AcceptanceCache] = None,
-    use_oracle: bool = False,
 ) -> int:
     """Longest θ,q-acceptable prefix of distinct values from ``start``.
 
@@ -98,89 +102,17 @@ def grow_value_bucket(
     Maintains independent slope bounds for the frequency estimator (α)
     and -- when ``test_distinct`` -- the distinct-count estimator (β).
 
-    With ``use_oracle`` the per-step constraint batches run through the
-    column's :class:`~repro.core.density.DensityIndex` prefix lists and
-    the scalar kernel mirrors (bit-identical bounds, no per-step numpy
-    dispatch for the typical few-interval Corollary 4.2 window); a
-    ``cache`` memoises constraint windows revisited across buckets and
-    builds, under value-space-tagged keys.
+    The per-step constraint batches run through the column's
+    :class:`~repro.core.density.DensityIndex` prefix lists and the
+    scalar kernel mirrors (no per-step numpy dispatch for the typical
+    few-interval Corollary 4.2 window); every comparison and bound is
+    bit-identical to :func:`grow_value_bucket_stepwise`.  A ``cache``
+    memoises constraint windows revisited across buckets and builds,
+    under value-space-tagged keys.
     """
     d = density.n_distinct
     if not 0 <= start < d:
         raise IndexError(f"start {start} out of range")
-    if use_oracle:
-        return _grow_value_oracle(
-            density, start, theta, q, bounded, test_distinct, cache, trace
-        )
-    cum = density.cumulative
-    values = density.values
-    lo_v = float(values[start])
-    acceptance = trace.timer("acceptance_tests")
-
-    freq_bounds = _SlopeBounds()
-    dist_bounds = _SlopeBounds()
-    alpha_min = math.inf
-    m = 0
-    tests = 0
-    scanned = 0
-    try:
-        for m_try in range(1, d - start + 1):
-            j = start + m_try
-            hi_v = _upper_value(density, j)
-            span = hi_v - lo_v
-            total = float(cum[j] - cum[start])
-            alpha = total / span
-            beta = m_try / span
-            # Index-space analogue of the Corollary 4.2 window, using the
-            # most pessimistic per-index density seen so far.
-            idx_alpha = total / m_try
-            alpha_min = min(alpha_min, idx_alpha)
-            if bounded:
-                window = math.ceil(2.0 * theta / alpha_min) + 3
-                i_low = max(start, j - window)
-            else:
-                i_low = start
-            tests += 1
-            scanned += j - i_low
-            w_j = _upper_value(density, j)
-            with acceptance:
-                widths = w_j - np.asarray(values[i_low:j], dtype=np.float64)
-                truths = (cum[j] - cum[i_low:j]).astype(np.float64)
-                lb, ub = batch_slope_constraints(truths, widths, theta, q)
-                freq_bounds.lb = max(freq_bounds.lb, lb)
-                freq_bounds.ub = min(freq_bounds.ub, ub)
-                if test_distinct:
-                    counts = np.arange(j - i_low, 0, -1, dtype=np.float64)
-                    lb_d, ub_d = batch_slope_constraints(counts, widths, theta, q)
-                    dist_bounds.lb = max(dist_bounds.lb, lb_d)
-                    dist_bounds.ub = min(dist_bounds.ub, ub_d)
-            if not freq_bounds.contains(alpha):
-                break
-            if test_distinct and not dist_bounds.contains(beta):
-                break
-            m = m_try
-        return max(m, 1)
-    finally:
-        trace.count("acceptance_tests", tests)
-        trace.count("intervals_scanned", scanned)
-
-
-def _grow_value_oracle(
-    density: AttributeDensity,
-    start: int,
-    theta: float,
-    q: float,
-    bounded: bool,
-    test_distinct: bool,
-    cache: Optional[AcceptanceCache],
-    trace,
-) -> int:
-    """Oracle-path :func:`grow_value_bucket`: same α/β recurrence and the
-    same per-step constraint mathematics, evaluated over the density
-    index's Python-list prefix sums and values.  Every comparison and
-    bound is bit-identical to the classic loop, so the returned ``m``
-    matches exactly."""
-    d = density.n_distinct
     index = density.ensure_index()
     cum = index.cum_list
     values = index.values_list
@@ -286,6 +218,74 @@ def _grow_value_oracle(
             trace.count("acceptance_cache_hits", cache_hits)
 
 
+def grow_value_bucket_stepwise(
+    density: AttributeDensity,
+    start: int,
+    theta: float,
+    q: float,
+    bounded: bool = True,
+    test_distinct: bool = True,
+    trace=NULL_TRACE,
+) -> int:
+    """The value-space growth loop with one numpy constraint batch per
+    step: the reference :func:`grow_value_bucket` is held to (same
+    width)."""
+    d = density.n_distinct
+    if not 0 <= start < d:
+        raise IndexError(f"start {start} out of range")
+    cum = density.cumulative
+    values = density.values
+    lo_v = float(values[start])
+    acceptance = trace.timer("acceptance_tests")
+
+    freq_bounds = _SlopeBounds()
+    dist_bounds = _SlopeBounds()
+    alpha_min = math.inf
+    m = 0
+    tests = 0
+    scanned = 0
+    try:
+        for m_try in range(1, d - start + 1):
+            j = start + m_try
+            hi_v = _upper_value(density, j)
+            span = hi_v - lo_v
+            total = float(cum[j] - cum[start])
+            alpha = total / span
+            beta = m_try / span
+            # Index-space analogue of the Corollary 4.2 window, using the
+            # most pessimistic per-index density seen so far.
+            idx_alpha = total / m_try
+            alpha_min = min(alpha_min, idx_alpha)
+            if bounded:
+                window = math.ceil(2.0 * theta / alpha_min) + 3
+                i_low = max(start, j - window)
+            else:
+                i_low = start
+            tests += 1
+            scanned += j - i_low
+            w_j = _upper_value(density, j)
+            with acceptance:
+                widths = w_j - np.asarray(values[i_low:j], dtype=np.float64)
+                truths = (cum[j] - cum[i_low:j]).astype(np.float64)
+                lb, ub = batch_slope_constraints(truths, widths, theta, q)
+                freq_bounds.lb = max(freq_bounds.lb, lb)
+                freq_bounds.ub = min(freq_bounds.ub, ub)
+                if test_distinct:
+                    counts = np.arange(j - i_low, 0, -1, dtype=np.float64)
+                    lb_d, ub_d = batch_slope_constraints(counts, widths, theta, q)
+                    dist_bounds.lb = max(dist_bounds.lb, lb_d)
+                    dist_bounds.ub = min(dist_bounds.ub, ub_d)
+            if not freq_bounds.contains(alpha):
+                break
+            if test_distinct and not dist_bounds.contains(beta):
+                break
+            m = m_try
+        return max(m, 1)
+    finally:
+        trace.count("acceptance_tests", tests)
+        trace.count("intervals_scanned", scanned)
+
+
 def build_value_histogram(
     density: AttributeDensity,
     config: HistogramConfig = HistogramConfig(),
@@ -294,18 +294,15 @@ def build_value_histogram(
 ) -> Histogram:
     """Build a value-based atomic histogram (``1VincB1`` / ``1VincB2``).
 
-    The variant is selected by ``config.test_distinct``.  With
-    ``config.search == "oracle"`` the growth loop runs the scalar
-    constraint mirrors over the shared density index (bit-identical
-    boundaries); ``cache`` shares constraint memos across builds.
+    The variant is selected by ``config.test_distinct``; ``cache``
+    shares constraint memos across builds.
     """
     trace = trace if trace is not None else NULL_TRACE
     theta = config.resolve_theta(density.total)
     q = config.q
     d = density.n_distinct
     values = density.values
-    use_oracle = config.oracle_search
-    if cache is None and config.kernel == "vectorized":
+    if cache is None:
         cache = AcceptanceCache()
     buckets: List[ValueAtomicBucket] = []
     packing = trace.timer("packing")
@@ -320,7 +317,6 @@ def build_value_histogram(
             test_distinct=config.test_distinct,
             trace=trace,
             cache=cache,
-            use_oracle=use_oracle,
         )
         e = s + m
         with packing:
@@ -369,8 +365,7 @@ def build_value_mixed(
     # Frequencies beyond the 4-bit raw codec's largest base stay atomic.
     raw_freq_cap = largest_compressible(max(QCRawNonDense.bases), 4)
 
-    use_oracle = config.oracle_search
-    if cache is None and config.kernel == "vectorized":
+    if cache is None:
         cache = AcceptanceCache()
 
     # Pass 1: grow atomic value buckets as usual.
@@ -385,7 +380,6 @@ def build_value_mixed(
             bounded=config.bounded_search,
             test_distinct=config.test_distinct,
             cache=cache,
-            use_oracle=use_oracle,
         )
         spans.append((s, s + m))
         s += m

@@ -61,9 +61,9 @@ class BuildRequest:
     label: Optional[str] = None
     request_id: Optional[str] = None
     #: Optional shared :class:`AcceptanceCache`.  Callers building several
-    #: histograms over the same density (variant sweeps, repair attempts)
-    #: pass one cache so acceptance decisions and constraint windows carry
-    #: across builds; ``None`` gives each build a private cache.
+    #: histograms over the same density (variant sweeps) pass one cache so
+    #: acceptance decisions and constraint windows carry across builds;
+    #: ``None`` gives each build a private cache.
     cache: Optional[AcceptanceCache] = None
 
 
@@ -157,7 +157,7 @@ class BuildPipeline:
         else:
             trace = NULL_TRACE
         cache = request.cache
-        if cache is None and config.kernel == "vectorized":
+        if cache is None:
             cache = AcceptanceCache()
         context = BuildContext(
             request=request, spec=spec, config=config, trace=trace, cache=cache
@@ -165,7 +165,7 @@ class BuildPipeline:
         t0 = perf_counter()
         with trace.span("density_scan"):
             density = _as_density(request.source, spec.value_domain)
-            if config.oracle_search and not density.has_index:
+            if not density.has_index:
                 # Attribute the one-time prefix-structure build to the
                 # scan phase, where it belongs (it is a column-level
                 # artefact, not part of the bucket search).

@@ -128,7 +128,7 @@ def _default_registry() -> BuilderRegistry:
         value_domain=False,
         prepare=lambda config: _with_bounded(config, False),
         construct=lambda density, ctx: build_qvwh(
-            density, ctx.config, trace=ctx.trace, cache=ctx.cache
+            density, ctx.config, trace=ctx.trace
         ),
     ))
     registry.register(BuilderSpec(
@@ -138,7 +138,7 @@ def _default_registry() -> BuilderRegistry:
         value_domain=False,
         prepare=lambda config: _with_bounded(config, True),
         construct=lambda density, ctx: build_qvwh(
-            density, ctx.config, trace=ctx.trace, cache=ctx.cache
+            density, ctx.config, trace=ctx.trace
         ),
     ))
     registry.register(BuilderSpec(
@@ -148,7 +148,7 @@ def _default_registry() -> BuilderRegistry:
         value_domain=False,
         prepare=lambda config: _with_bounded(config, False),
         construct=lambda density, ctx: build_atomic_dense(
-            density, ctx.config, trace=ctx.trace, cache=ctx.cache
+            density, ctx.config, trace=ctx.trace
         ),
     ))
     registry.register(BuilderSpec(
@@ -158,7 +158,7 @@ def _default_registry() -> BuilderRegistry:
         value_domain=False,
         prepare=lambda config: _with_bounded(config, True),
         construct=lambda density, ctx: build_atomic_dense(
-            density, ctx.config, trace=ctx.trace, cache=ctx.cache
+            density, ctx.config, trace=ctx.trace
         ),
     ))
     registry.register(BuilderSpec(

@@ -1,13 +1,18 @@
-"""Batch-compiled estimation: equivalence and speed semantics."""
+"""Batch estimation through compiled plans: equivalence and speed semantics.
+
+``histogram.plan()`` (:class:`repro.core.compiled.CompiledHistogram`)
+answers whole query arrays; its fine cumulative-mass segments
+(``fine_segments()``) are what the join estimator integrates.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.batch import CompiledHistogram, compile_histogram
 from repro.core.builder import build_histogram
 from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
 from repro.core.mixed import build_mixed
+from repro.optimizer.join import estimate_equijoin
 from repro.workloads.distributions import make_density
 
 DENSE_KINDS = ["F8Dgt", "V8Dinc", "V8DincB", "1Dinc", "1DincB"]
@@ -24,7 +29,7 @@ class TestEquivalence:
         histogram = build_histogram(
             hard_density, kind=kind, config=HistogramConfig(q=2.0, theta=16)
         )
-        compiled = compile_histogram(histogram)
+        compiled = histogram.plan()
         d = hard_density.n_distinct
         # Non-aligned queries take the bucklet path in both forms.
         for _ in range(300):
@@ -42,7 +47,7 @@ class TestEquivalence:
         histogram = build_histogram(
             hard_density, kind=kind, config=HistogramConfig(q=2.0, theta=16)
         )
-        compiled = compile_histogram(histogram)
+        compiled = histogram.plan()
         d = hard_density.n_distinct
         c1s = rng.uniform(0, d, size=500)
         c2s = np.minimum(c1s + rng.uniform(0, d / 2, size=500), d)
@@ -57,7 +62,7 @@ class TestEquivalence:
         histogram = build_mixed(
             AttributeDensity(freqs), HistogramConfig(q=2.0, theta=8)
         )
-        compiled = compile_histogram(histogram)
+        compiled = histogram.plan()
         assert compiled.estimate(0, len(freqs)) > 0
 
     def test_guarantee_preserved(self, hard_density, rng):
@@ -68,7 +73,7 @@ class TestEquivalence:
         histogram = build_histogram(
             hard_density, kind="V8DincB", config=HistogramConfig(q=2.0, theta=theta)
         )
-        compiled = compile_histogram(histogram)
+        compiled = histogram.plan()
         cum = hard_density.cumulative
         d = hard_density.n_distinct
         worst = 1.0
@@ -87,34 +92,40 @@ class TestEquivalence:
 class TestSemantics:
     def test_out_of_domain_queries(self, hard_density):
         histogram = build_histogram(hard_density, kind="1DincB", theta=16)
-        compiled = compile_histogram(histogram)
+        compiled = histogram.plan()
         assert compiled.estimate(-100, -50) == 0.0
         assert compiled.estimate(10, 5) == 0.0
 
     def test_never_zero_inside_domain(self, hard_density):
         histogram = build_histogram(hard_density, kind="1DincB", theta=16)
-        compiled = compile_histogram(histogram)
+        compiled = histogram.plan()
         assert compiled.estimate(3.0, 3.5) >= 1.0
 
     def test_value_domain_rejected(self, rng):
         values = np.cumsum(rng.integers(1, 9, size=200)).astype(float)
         density = AttributeDensity(rng.integers(1, 30, size=200), values=values)
         histogram = build_histogram(density, kind="1VincB1", theta=8)
+        # The join estimator -- the fine-segment consumer -- needs a
+        # shared code domain.
         with pytest.raises(ValueError):
-            compile_histogram(histogram)
+            estimate_equijoin(histogram, histogram)
 
     def test_monotone_cumulative_mass(self, hard_density):
         histogram = build_histogram(hard_density, kind="V8DincB", theta=16)
-        compiled = compile_histogram(histogram)
-        positions = np.linspace(0, hard_density.n_distinct, 500)
-        masses = compiled.cumulative_mass(positions)
+        edges, masses = histogram.plan().fine_segments()
+        assert edges[0] == 0 and edges[-1] == hard_density.n_distinct
+        assert np.all(np.diff(edges) >= 0)
         assert np.all(np.diff(masses) >= -1e-9)
+        # Every stored bucklet total is within the payload compression
+        # factor of its truth, hence so is the whole mass.
+        slack = 1.4 ** 0.5
+        assert hard_density.total / slack <= masses[-1] <= hard_density.total * slack
 
     def test_faster_than_object_path(self, hard_density, rng):
         import time
 
         histogram = build_histogram(hard_density, kind="F8Dgt", theta=16)
-        compiled = compile_histogram(histogram)
+        compiled = histogram.plan()
         d = hard_density.n_distinct
         c1s = rng.integers(0, d, size=5000).astype(float)
         c2s = np.minimum(c1s + rng.integers(1, d, size=5000), d).astype(float)

@@ -230,15 +230,12 @@ class TestDecodeOnce:
         decoded = COMPILE_COUNTERS.get("layout_decodes") - before
         assert decoded == len(histogram)
         # Nothing afterwards decodes again: not estimates, not a second
-        # plan() call, not the legacy batch compiler.
-        from repro.core.batch import compile_histogram
-
+        # plan() call.
         histogram.estimate(histogram.lo + 0.5, histogram.hi - 0.5)
         histogram.estimate_batch(
             np.array([histogram.lo]), np.array([histogram.hi])
         )
         assert histogram.plan() is plan
-        compile_histogram(histogram)
         assert COMPILE_COUNTERS.get("layout_decodes") - before == decoded
         for bucket in histogram.buckets:
             assert bucket._bucklets is not None

@@ -233,5 +233,6 @@ class TestAcceptanceCache:
         assert first == slope_constraints(cum, 0, 4, 2.0, 2.0)
 
     def test_unknown_kernel_rejected(self, smooth_density):
-        with pytest.raises(ValueError):
+        # The combined test has one kernel; there is nothing to select.
+        with pytest.raises(TypeError):
             is_theta_q_acceptable(smooth_density, 0, 10, 0, 2.0, kernel="magic")

@@ -91,18 +91,6 @@ class TestBuildColumnHistograms:
         )
         _assert_same_histograms(parallel, serial, rng)
 
-    def test_literal_kernel_threads_through(self, rng):
-        columns = _columns(rng, n=2)
-        vec = build_column_histograms(
-            columns, config=HistogramConfig(theta=16), executor="serial"
-        )
-        lit = build_column_histograms(
-            columns,
-            config=HistogramConfig(theta=16, kernel="literal"),
-            executor="serial",
-        )
-        _assert_same_histograms(vec, lit, rng)
-
     def test_single_column_short_circuits_to_serial(self, rng):
         # One job never pays for a pool; result must still be correct.
         columns = _columns(rng, n=1)

@@ -1,22 +1,24 @@
-"""Acceptance-oracle search: parity with the classic search, bit for bit.
+"""Production searches: parity with the paper's reference searches, bit for bit.
 
-The oracle path (``HistogramConfig.search == "oracle"``, the default)
-must be a pure performance substitution: for every variant and every
-density, the produced histogram -- boundaries, payloads, certificates --
-must equal the classic search's exactly, not just approximately.  These
-tests pin that contract over fixed heavy-tailed/uniform/ERP columns and
-under hypothesis-generated densities, plus the ``repair_histogram``
-span-rebuild path and the :class:`DensityIndex` primitives it leans on.
-``TestChunkedGrowth`` holds the block-at-a-time ``GrowBucklet`` to the
-step-at-a-time loop: same width and the same work counters.
+Each variant's production search (the acceptance oracle for F8Dgt, the
+chunked ``GrowBucklet`` for V8D/1D, the scalar-mirror value loop) must
+be a pure performance substitution: for every variant and every density,
+the produced histogram -- boundaries, payloads, certificates -- must
+equal the reference build's (:mod:`tests.reference`) exactly, not just
+approximately.  These tests pin that contract over fixed
+heavy-tailed/uniform/ERP columns and under hypothesis-generated
+densities, plus the ``repair_histogram`` span-rebuild path and the
+:class:`DensityIndex` primitives it leans on.  ``TestChunkedGrowth``
+holds the block-at-a-time ``GrowBucklet`` to the step-at-a-time loop:
+same width and the same work counters.
 """
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import qvwh
 from repro.core.builder import build_histogram
 from repro.core.config import HistogramConfig
@@ -26,6 +28,7 @@ from repro.core.repair import buckets_acceptable, repair_histogram
 from repro.core.search import AcceptanceOracle, find_largest_oracle
 from repro.engine import build
 from repro.obs import Trace
+from tests.reference import build_reference, reference_searches
 
 DICT_KINDS = ("F8Dgt", "V8Dinc", "V8DincB", "1Dinc", "1DincB")
 VALUE_KINDS = ("1VincB1", "1VincB2")
@@ -47,16 +50,16 @@ def normalized(histogram):
 
 
 def both_searches(freqs, kind, values=None, **config_kwargs):
-    oracle_config = HistogramConfig(search="oracle", **config_kwargs)
-    classic_config = replace(oracle_config, search="classic")
+    """(production, reference) builds of one column."""
+    config = HistogramConfig(**config_kwargs)
     freqs = np.asarray(freqs, dtype=np.int64)
-    oracle = build_histogram(
-        AttributeDensity(freqs.copy(), values), kind=kind, config=oracle_config
+    production = build_histogram(
+        AttributeDensity(freqs.copy(), values), kind=kind, config=config
     )
-    classic = build_histogram(
-        AttributeDensity(freqs.copy(), values), kind=kind, config=classic_config
+    reference = build_reference(
+        AttributeDensity(freqs.copy(), values), kind=kind, config=config
     )
-    return oracle, classic
+    return production, reference
 
 
 def make_erp_freqs(n=4_000, seed=3):
@@ -134,14 +137,39 @@ class TestDensityIndex:
 
 
 class TestConfig:
-    def test_search_validation(self):
-        with pytest.raises(ValueError):
-            HistogramConfig(search="bogus")
+    """No option selects a search or a kernel: each variant has one."""
 
-    def test_oracle_requires_vectorized_kernel(self):
-        assert HistogramConfig().oracle_search
-        assert not HistogramConfig(kernel="literal").oracle_search
-        assert not HistogramConfig(search="classic").oracle_search
+    def test_search_validation(self):
+        with pytest.raises(TypeError):
+            HistogramConfig(search="classic")
+
+    def test_kernel_field_removed(self):
+        with pytest.raises(TypeError):
+            HistogramConfig(kernel="literal")
+
+    def test_kernel_flag_removed(self, tmp_path, capsys):
+        data = tmp_path / "c.npy"
+        np.save(data, np.arange(1_000) % 37)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build-table", str(data), str(tmp_path / "cat"),
+                  "--kernel", "literal"])
+        assert exit_info.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
+
+class TestReferenceSubstitution:
+    def test_reference_builds_run_the_reference_searches(self):
+        # Only the production searches count search probes (the oracle
+        # also certifies); a reference build that still reported them
+        # would be comparing production with itself.
+        freqs = FIXED_DENSITIES["zipf"]
+        for kind in ALL_KINDS:
+            production = build(AttributeDensity(freqs), kind=kind, trace=True)
+            with reference_searches():
+                reference = build(AttributeDensity(freqs), kind=kind, trace=True)
+            assert production.counters["search_probes"] > 0, kind
+            assert "search_probes" not in reference.counters, kind
+            assert reference.counters["acceptance_tests"] > 0, kind
 
 
 class TestFixedDensityParity:
@@ -153,18 +181,18 @@ class TestFixedDensityParity:
         if kind in VALUE_KINDS:
             gaps = np.random.default_rng(9).integers(1, 7, size=freqs.size)
             values = np.cumsum(gaps).astype(np.float64)
-        oracle, classic = both_searches(
+        production, reference = both_searches(
             freqs, kind, values=values, theta=64.0, q=2.0
         )
-        assert normalized(oracle) == normalized(classic)
+        assert normalized(production) == normalized(reference)
 
     @pytest.mark.parametrize("kind", VALUE_KINDS)
     def test_value_kinds_on_dense_values(self, kind):
         # Value-based search over a dense ramp (values == codes).
-        oracle, classic = both_searches(
+        production, reference = both_searches(
             FIXED_DENSITIES["uniform"], kind, theta=32.0, q=2.0
         )
-        assert normalized(oracle) == normalized(classic)
+        assert normalized(production) == normalized(reference)
 
 
 class TestPropertyParity:
@@ -172,10 +200,10 @@ class TestPropertyParity:
     @settings(max_examples=60, deadline=None)
     def test_dict_kinds(self, freqs, theta):
         for kind in DICT_KINDS:
-            oracle, classic = both_searches(
+            production, reference = both_searches(
                 freqs, kind, theta=float(theta), q=2.0
             )
-            assert normalized(oracle) == normalized(classic), kind
+            assert normalized(production) == normalized(reference), kind
 
     @given(
         freqs=small_freqs,
@@ -186,10 +214,10 @@ class TestPropertyParity:
     def test_value_kinds(self, freqs, theta, gap):
         values = np.arange(1, len(freqs) + 1, dtype=np.float64) * gap
         for kind in VALUE_KINDS:
-            oracle, classic = both_searches(
+            production, reference = both_searches(
                 freqs, kind, values=values, theta=float(theta), q=2.0
             )
-            assert normalized(oracle) == normalized(classic), kind
+            assert normalized(production) == normalized(reference), kind
 
 
 class TestFindLargestOracle:
@@ -233,19 +261,14 @@ class TestRepairParity:
         ok = buckets_acceptable(histogram, density, range(len(histogram.buckets)))
         failing = list(np.flatnonzero(~ok))
         assert failing, "churn recipe must break at least one bucket"
-        repaired_oracle = repair_histogram(
-            histogram, churned, failing, config=config
-        )
-        repaired_classic = repair_histogram(
-            histogram, churned, failing, config=replace(config, search="classic")
-        )
-        assert normalized(repaired_oracle.histogram) == normalized(
-            repaired_classic.histogram
-        )
-        assert repaired_oracle.splits == repaired_classic.splits
+        repaired = repair_histogram(histogram, churned, failing, config=config)
+        with reference_searches():
+            reference = repair_histogram(histogram, churned, failing, config=config)
+        assert normalized(repaired.histogram) == normalized(reference.histogram)
+        assert repaired.splits == reference.splits
 
 
-# -- chunked growth (qvwh._grow_bucklet_oracle) ------------------------------
+# -- chunked growth (qvwh.grow_bucklet) ---------------------------------------
 
 plateau = st.tuples(st.integers(1, 40), st.integers(1, 60)).map(
     lambda shape: [shape[1]] * shape[0]
@@ -265,12 +288,11 @@ def grow_both(freqs, l, m_max, theta, q, bounded):
     """(width, intervals_scanned, trace counters) for both growth paths."""
     density = AttributeDensity(np.asarray(freqs, dtype=np.int64))
     out = []
-    for use_oracle in (True, False):
+    for grow in (qvwh.grow_bucklet, qvwh.grow_bucklet_stepwise):
         stats = qvwh.GrowStats()
         trace = Trace()
-        width = qvwh.grow_bucklet(
-            density, l, m_max, theta, q, bounded=bounded, stats=stats,
-            trace=trace, use_oracle=use_oracle,
+        width = grow(
+            density, l, m_max, theta, q, bounded=bounded, stats=stats, trace=trace
         )
         out.append((width, stats.intervals_scanned, trace.root.counter_totals()))
     return out
@@ -290,7 +312,7 @@ def assert_same_growth(freqs, l, m_max, theta, q, bounded):
 
 class TestChunkedGrowth:
     """The block-at-a-time growth kernel against the step-at-a-time
-    classic loop: same width, same work counters."""
+    reference loop: same width, same work counters."""
 
     @given(
         freqs=shaped_freqs,

@@ -121,23 +121,6 @@ class TestCommands:
         catalog = StatisticsCatalog(catalog_dir)
         assert set(catalog.entries()) == {("orders", "customer"), ("orders", "amount")}
 
-    def test_build_table_kernel_flag(self, tmp_path, rng, capsys):
-        data = tmp_path / "c.npy"
-        np.save(data, rng.integers(0, 300, size=10_000))
-        code = main(
-            [
-                "build-table",
-                str(data),
-                str(tmp_path / "cat"),
-                "--executor",
-                "serial",
-                "--kernel",
-                "literal",
-            ]
-        )
-        assert code == 0
-        assert "kernel=literal" in capsys.readouterr().out
-
     def test_build_table_empty_directory_is_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
